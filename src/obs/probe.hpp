@@ -145,9 +145,11 @@ class PoolProbe {
 
 /// The serve loop's phases, in loop order. kAdmit covers arrival pops,
 /// joins, and batch closes; kPick the ready-vs-open-group argmin; kRoute
-/// the device choice; kDispatch chunk sizing, cache touch, and worker
-/// submission; kHarvest the future sync; kRetire completion processing
-/// (including record filing).
+/// the device choice; kDispatch chunk sizing, cache touch, arbiter
+/// admission, and then either analytic pricing plus calendar filing or
+/// cycle-accurate worker submission; kHarvest the cycle-accurate worker
+/// sync (never entered under ExecMode::kAnalytical); kRetire completion
+/// processing (including record filing).
 enum class ServePhase {
   kAdmit,
   kPick,

@@ -37,9 +37,10 @@
 //                    the invariant and the re-pricing semantics.
 //
 // Determinism contract: all arbiter state mutates exclusively in the
-// single-threaded serve loop (admit at dispatch, resolve at harvest,
-// advance at time steps, release at retire) — workers never see it — so
-// the simulated timeline stays bit-identical for any worker-thread count.
+// single-threaded serve loop (admit at dispatch, resolve once the compute
+// leg is known, advance at time steps, release at retire) — workers never
+// see it — so the simulated timeline stays bit-identical for any
+// worker-thread count.
 //
 // Integer exactness: fluid progress uses floor(elapsed * rate) byte
 // delivery per constant-rate epoch and ceil projections for finish times,
@@ -156,9 +157,10 @@ class FabricModel {
 /// Stream lifecycle, keyed by the chunk's completion-calendar slot:
 ///   admit()    at dispatch — registers the chunk's DRAM traffic; the
 ///              demand bump may re-price other in-flight chunks.
-///   resolve()  at harvest — supplies the compute leg, files and returns
-///              the chunk's completion cycle (max(compute, transfer) +
-///              hop latency).
+///   resolve()  once the compute leg is known (at dispatch for analytic
+///              pricing, at harvest for cycle-accurate) — files and
+///              returns the chunk's completion cycle (max(compute,
+///              transfer) + hop latency).
 ///   advance()  at every time step — applies fluid progress up to `now`,
 ///              drains finished transfers, re-prices survivors whose
 ///              fair share grew.
