@@ -14,6 +14,13 @@
 //  * WS/IS — the stationary operand is preloaded top-down (S_R cycles),
 //    the streaming operand enters from the left, partial sums flow down and
 //    exit at the bottom row.
+//
+// PE state lives in structure-of-arrays register planes
+// (pe/register_plane.hpp), row-major over the used r x c region and double
+// buffered: the left-fed operand (A, or the streaming operand) moves right
+// as one contiguous copy per row, the top-fed one (B, or the partial sums)
+// moves down as one copy of the whole plane, and a per-PE MAC-count plane
+// replaces per-PE MAC units.
 #pragma once
 
 #include "baseline/run_result.hpp"

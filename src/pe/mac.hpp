@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 
 #include "common/fp16.hpp"
 
@@ -27,6 +28,46 @@ struct MacCounters {
   }
 };
 
+/// c ? x : y, computed on the bit patterns. Under the default
+/// -ftrapping-math GCC compiles a select between float results (and a float
+/// compare against zero) into branches, which keeps the array simulators'
+/// per-row loops from vectorizing; integer tests and this blend do not.
+inline float blend(bool c, float x, float y) {
+  std::uint32_t xb = 0;
+  std::uint32_t yb = 0;
+  std::memcpy(&xb, &x, sizeof xb);
+  std::memcpy(&yb, &y, sizeof yb);
+  const std::uint32_t mask = 0u - static_cast<std::uint32_t>(c);
+  const std::uint32_t out = (xb & mask) | (yb & ~mask);
+  float v = 0.0f;
+  std::memcpy(&v, &out, sizeof v);
+  return v;
+}
+
+/// True for +0 and -0 (an integer test; see blend()).
+inline bool is_zero(float v) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return (bits << 1) == 0;
+}
+
+/// The MAC arithmetic every simulator shares: acc + a*b. `gated` reports
+/// that zero gating skipped the datapath (an operand is exactly zero), in
+/// which case acc comes back unchanged. fp16 numerics round the operands,
+/// the product and the sum to binary16 like the simplified FPnew unit.
+/// Inline so the array simulators, which pass the options as compile-time
+/// constants, compile the option tests out of their inner loops.
+inline float mac_op(float a, float b, float acc, bool zero_gating,
+                    bool fp16_numerics, bool& gated) {
+  gated = zero_gating & (is_zero(a) | is_zero(b));
+  float sum = acc + a * b;
+  if (fp16_numerics) {
+    const float prod = fp16_round(fp16_round(a) * fp16_round(b));
+    sum = fp16_round(acc + prod);
+  }
+  return blend(gated, acc, sum);
+}
+
 class MacUnit {
  public:
   /// `zero_gating` toggles the optimisation (results are identical either
@@ -36,7 +77,12 @@ class MacUnit {
       : zero_gating_(zero_gating), fp16_numerics_(fp16_numerics) {}
 
   /// acc + a*b with gating/rounding per configuration.
-  float mac(float a, float b, float acc);
+  float mac(float a, float b, float acc) {
+    bool gated = false;
+    const float out = mac_op(a, b, acc, zero_gating_, fp16_numerics_, gated);
+    ++(gated ? counters_.gated_macs : counters_.active_macs);
+    return out;
+  }
 
   /// Call when the PE has no valid operands this cycle.
   void idle() { ++counters_.idle_cycles; }
