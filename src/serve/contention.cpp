@@ -213,6 +213,8 @@ void BandwidthArbiter::reproject(Node& node, i64 now,
   for (const std::size_t slot : node.active) {
     Stream& s = streams_[slot];
     s.fluid = true;
+    s.epoch_start = now;
+    s.epoch_remaining = s.remaining;
     s.transfer_finish = now + finish_delta(s, k);
     if (s.completion >= 0) {
       const i64 completion =
@@ -237,23 +239,22 @@ void BandwidthArbiter::advance_node(int node_id, i64 now,
   Node& node = nodes_[static_cast<std::size_t>(node_id)];
   if (node.active.empty()) return;
   NodeLedger& ledger = ledgers_[static_cast<std::size_t>(node_id)];
-  // Rates were constant since the last event on this node (membership only
-  // changes at events, and with >= 2 streams the earliest projected finish
-  // is itself an event), so one floor-delivery step per stream is exact.
+  // Rates are constant within an epoch (membership changes only at admit
+  // and drain, and both restart every stream's epoch), so delivery is
+  // floored once from the epoch start and booked against the last value.
+  // Flooring per event instead would drop up to a byte at each event when
+  // a rate is not a whole number of bytes per cycle.
   const i64 k = static_cast<i64>(node.active.size());
   bool drained_any = false;
   for (std::size_t i = 0; i < node.active.size();) {
     const std::size_t slot = node.active[i];
     Stream& s = streams_[slot];
-    const i64 elapsed = now - s.last_update;
-    if (elapsed > 0) {
-      const i64 delivered =
-          std::min(s.remaining, delivered_bytes(s, k, elapsed));
-      s.remaining -= delivered;
-      node.inflight_bytes -= delivered;
-      ledger.bytes_drained += delivered;
-      s.last_update = now;
-    }
+    const i64 epoch_delivered = std::min(
+        s.epoch_remaining, delivered_bytes(s, k, now - s.epoch_start));
+    const i64 delivered = s.remaining - (s.epoch_remaining - epoch_delivered);
+    s.remaining -= delivered;
+    node.inflight_bytes -= delivered;
+    ledger.bytes_drained += delivered;
     if (s.remaining == 0) {
       // Finished strictly within the window only when it ran solo (with
       // k >= 2 the loop stops at the earliest projected finish, which is
@@ -320,7 +321,8 @@ BandwidthArbiter::AdmitInfo BandwidthArbiter::admit(
   s.dispatch_cycle = now;
   s.dram_total = dram_bytes;
   s.remaining = dram_bytes;
-  s.last_update = now;
+  s.epoch_start = now;
+  s.epoch_remaining = dram_bytes;
   s.hop_cycles = fabric_->hop_cycles(device, fabric_bytes);
   s.private_transfer_fleet =
       ch.dram_bytes_per_cycle > 0

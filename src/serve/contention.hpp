@@ -42,9 +42,12 @@
 // see it — so the simulated timeline stays bit-identical for any
 // worker-thread count.
 //
-// Integer exactness: fluid progress uses floor(elapsed * rate) byte
-// delivery per constant-rate epoch and ceil projections for finish times,
-// all in 128-bit-widened integer arithmetic — no floats anywhere near the
+// Integer exactness: bytes are floored once per constant-rate epoch, as
+// floor(elapsed * rate) measured from the epoch start (admit, or the last
+// membership change), never once per serve-loop event — so a fair share
+// that is not a whole number of bytes per cycle loses nothing at
+// intermediate events. Finish times are ceil projections. All of it is
+// 128-bit-widened integer arithmetic — no floats anywhere near the
 // timeline. An uncontended stream (its node never sees a second concurrent
 // stream) keeps the closed-form roofline price from dispatch, which is why
 // single-member nodes with budget >= the private channel rate reproduce
@@ -240,7 +243,8 @@ class BandwidthArbiter {
     i64 dispatch_cycle = 0;
     i64 dram_total = 0;
     i64 remaining = 0;     ///< bytes not yet drained
-    i64 last_update = 0;   ///< cycle `remaining` was advanced to
+    i64 epoch_start = 0;      ///< cycle the constant-rate epoch began
+    i64 epoch_remaining = 0;  ///< `remaining` at epoch_start
     i64 solo_transfer_fleet = 0;     ///< closed-form leg at solo_bw
     i64 private_transfer_fleet = 0;  ///< same leg at the private rate
     i64 transfer_finish = -1;  ///< projected (fluid) or fixed (solo) finish

@@ -447,9 +447,9 @@ double ServeReport::throughput_per_mcycle() const {
 }
 
 double ServeReport::fleet_utilization() const {
-  if (makespan_cycles == 0 || num_accelerators == 0) return 0.0;
+  if (makespan_cycles == 0 || per_accelerator.empty()) return 0.0;
   return static_cast<double>(total_busy_cycles) /
-         (static_cast<double>(num_accelerators) *
+         (static_cast<double>(per_accelerator.size()) *
           static_cast<double>(makespan_cycles));
 }
 
@@ -491,8 +491,8 @@ std::string ServeReport::summary() const {
   std::ostringstream os;
   os << "requests: " << num_requests() << "  batches: " << total_batches
      << "  mean batch: " << fmt_double(mean_batch_size(), 2) << "\n"
-     << "accelerators: " << num_accelerators << "  threads: " << num_threads
-     << "  makespan: " << makespan_cycles << " cycles\n";
+     << "accelerators: " << per_accelerator.size() << "  threads: "
+     << num_threads << "  makespan: " << makespan_cycles << " cycles\n";
   // Chunk accounting only earns a line when dispatch was actually divisible
   // (total_chunks == total_batches means every batch ran whole).
   if (total_chunks > total_batches) {

@@ -428,7 +428,6 @@ struct ServeReport {
   /// reports intern through it directly.
   WorkloadRegistry workloads;
 
-  int num_accelerators = 0;
   int num_threads = 0;  ///< wall-clock workers used (no effect on cycles)
   i64 makespan_cycles = 0;      ///< last completion cycle
   i64 total_busy_cycles = 0;    ///< sum of per-accelerator busy cycles
@@ -480,7 +479,7 @@ struct ServeReport {
   [[nodiscard]] double mean_batch_size() const;
   /// Completed requests per million simulated cycles.
   [[nodiscard]] double throughput_per_mcycle() const;
-  /// Busy cycles / (accelerators * makespan).
+  /// Busy cycles / (per_accelerator.size() * makespan).
   [[nodiscard]] double fleet_utilization() const;
   /// Fleet-wide SLO attainment from the eager counters; 1.0 when no
   /// request carries a deadline.

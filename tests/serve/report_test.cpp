@@ -59,7 +59,7 @@ TEST(HistogramTest, MergeAndEmptyBehaviour) {
 
 TEST(ServeReportTest, FinalizeAggregatesRecords) {
   ServeReport rep;
-  rep.num_accelerators = 2;
+  rep.per_accelerator.resize(2);
   rep.total_batches = 2;
   const WorkloadId w = rep.workloads.intern("w");
   for (i64 i = 0; i < 4; ++i) {
@@ -103,7 +103,7 @@ TEST(ServeReportTest, EmptyTraceYieldsWellFormedReport) {
   // Regression: zero-record traces must finalize and summarize without
   // tripping Histogram::percentile's empty-histogram check.
   ServeReport rep;
-  rep.num_accelerators = 4;
+  rep.per_accelerator.resize(4);
   rep.num_threads = 2;
   rep.finalize();
   EXPECT_EQ(rep.num_requests(), 0u);

@@ -3,13 +3,15 @@
 // extended latency-breakdown identity (latency == batch_wait + queue_wait
 // + service + preempt_blocked + handoff, summed across stages) with a
 // genuinely nonzero fabric handoff on the disagg scenario, per-stage table
-// consistency against the request records, and the 1-vs-8-thread record
+// consistency against the request records, strict affinity's admission
+// check for a stage class no member serves, and the 1-vs-8-thread record
 // diff of the disaggregated scenario — the multi-stage determinism check
 // CI's TSan serve_ filter watches.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -84,8 +86,7 @@ TEST(MultiStagePipelineTest, TwoStageChainCompletesThroughReadmission) {
   }
 
   PoolConfig cfg;
-  cfg.num_accelerators = 2;
-  cfg.accelerator.array = {32, 32};
+  cfg.fleet.assign(2, {.accelerator = {.array = {32, 32}}});
   cfg.batching.max_batch = 4;
   cfg.batching.max_wait_cycles = 2000;
   const ServeReport r = serve_queue(cfg, std::move(q));
@@ -182,6 +183,40 @@ TEST(MultiStageLatencyIdentityTest, IdentityHoldsWithNonzeroHandoffs) {
     EXPECT_EQ(f.last_completion, rec.completion_cycle);
     EXPECT_EQ(f.service, rec.total_service_cycles());
     EXPECT_EQ(f.handoff, rec.handoff_cycles);
+  }
+}
+
+// kStrict routes a typed batch only to a member of its own class, so
+// decode requests on a prefill-only fleet could never dispatch. The pool
+// rejects the first such request at admission, naming its class, instead
+// of draining every other event and failing with work outstanding.
+TEST(StrictAffinityTest, UnservedStageClassFailsAtAdmission) {
+  PoolConfig cfg;
+  cfg.fleet.assign(2, {.accelerator = {.array = {8, 8}},
+                       .serves = StageClass::kPrefill});
+  cfg.stage_affinity = StageAffinity::kStrict;
+  cfg.batching = {1, 0};
+  RequestQueue q;
+  const GemmShape shape{1, 64, 64};
+  const WorkloadId decode =
+      q.intern_chain("decode", {{shape, StageClass::kDecode}});
+  for (int i = 0; i < 4; ++i) {
+    Request r;
+    r.id = i;
+    r.workload = decode;
+    r.gemm = shape;
+    r.arrival_cycle = static_cast<i64>(i) * 1000;
+    r.stage_class = StageClass::kDecode;
+    q.push(r);
+  }
+  AcceleratorPool pool(cfg);
+  try {
+    (void)pool.serve(q);
+    ADD_FAILURE() << "serve() accepted decode work no member can run";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("decode"), std::string::npos) << what;
+    EXPECT_NE(what.find("request 0"), std::string::npos) << what;
   }
 }
 

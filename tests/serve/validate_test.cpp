@@ -1,9 +1,9 @@
 // PoolConfig::validate() fail-fast semantics: one directed case per
 // rejected knob combination — a long simulation must never start with a
-// configuration that silently skews it — plus the positive controls (the
-// default config and every canonical scenario config pass) and the
-// serve()-path check (serve validates first, so a bad config fails before
-// the first event, not after).
+// configuration that silently skews it — plus the positive controls (a
+// minimal two-member fleet and every canonical scenario config pass) and
+// the construction-path check (the pool constructor validates, so a pool
+// with a bad config never exists and fails before the first event).
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
@@ -15,13 +15,11 @@ namespace {
 
 PoolConfig base_config() {
   PoolConfig cfg;
-  cfg.num_accelerators = 2;
-  cfg.accelerator.array = {32, 32};
+  cfg.fleet.assign(2, {.accelerator = {.array = {32, 32}}});
   return cfg;
 }
 
-TEST(PoolConfigValidateTest, DefaultAndScenarioConfigsPass) {
-  EXPECT_NO_THROW(PoolConfig{}.validate());
+TEST(PoolConfigValidateTest, MinimalAndScenarioConfigsPass) {
   EXPECT_NO_THROW(base_config().validate());
   for (const std::string& name : scenario_names()) {
     EXPECT_NO_THROW(scenario(name).config.validate()) << name;
@@ -37,11 +35,29 @@ TEST(PoolConfigValidateTest, RejectsDegenerateThreadCount) {
 }
 
 TEST(PoolConfigValidateTest, RejectsEmptyPool) {
+  // The fleet has no default members, so a default config declares no
+  // pool at all.
+  EXPECT_THROW(PoolConfig{}.validate(), CheckError);
+  EXPECT_THROW(AcceleratorPool{PoolConfig{}}, CheckError);
   PoolConfig cfg = base_config();
-  cfg.num_accelerators = 0;  // homogeneous shorthand with no members
+  cfg.fleet.clear();
   EXPECT_THROW(cfg.validate(), CheckError);
-  // A non-empty heterogeneous fleet makes num_accelerators irrelevant.
-  cfg.fleet = mixed_demo_fleet();
+}
+
+TEST(PoolConfigValidateTest, RejectsInvalidFleetMembers) {
+  // Every member is checked, not only the first: the bad one is member 1.
+  PoolConfig cfg = base_config();
+  cfg.fleet[1].accelerator.array = {0, 32};
+  EXPECT_THROW(cfg.validate(), CheckError);
+  cfg = base_config();
+  cfg.fleet[1].clock_mhz = 0;
+  EXPECT_THROW(cfg.validate(), CheckError);
+  cfg.fleet[1].clock_mhz = -kRefClockMhz;
+  EXPECT_THROW(cfg.validate(), CheckError);
+  cfg = base_config();
+  cfg.fleet[1].weight_cache_bytes = -1;
+  EXPECT_THROW(cfg.validate(), CheckError);
+  cfg.fleet[1].weight_cache_bytes = 0;
   EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -85,8 +101,8 @@ TEST(PoolConfigValidateTest, RejectsTopologyFleetSizeMismatch) {
 }
 
 TEST(PoolConfigValidateTest, RejectsStageAffinityOnAnUntypedFleet) {
-  // Homogeneous shorthand (no fleet at all) and an all-general fleet both
-  // fail: the knob would silently do nothing.
+  // All-general fleets — the minimal one and a scenario's — fail: the knob
+  // would silently do nothing.
   for (const StageAffinity affinity :
        {StageAffinity::kPreferred, StageAffinity::kStrict}) {
     PoolConfig cfg = base_config();
@@ -100,17 +116,11 @@ TEST(PoolConfigValidateTest, RejectsStageAffinityOnAnUntypedFleet) {
 }
 
 TEST(PoolConfigValidateTest, ServeValidatesBeforeTheFirstEvent) {
-  // A combination only validate() rejects (construction succeeds): the
-  // failure must surface at serve() entry, before the first event.
+  // The constructor validates, so an invalid config fails before serve()
+  // could run a single event: there is no pool to serve with.
   PoolConfig cfg = base_config();
   cfg.congestion_aware = true;
-  AcceleratorPool pool(cfg);
-  RequestQueue q;
-  Request r;
-  r.workload = q.intern("w", {8, 64, 64});
-  r.gemm = {8, 64, 64};
-  q.push(r);
-  EXPECT_THROW(pool.serve(q), CheckError);
+  EXPECT_THROW(AcceleratorPool{cfg}, CheckError);
 }
 
 }  // namespace
