@@ -141,11 +141,6 @@ struct PoolConfig {
   /// kAnalytical (dispatches are priced inline) and never on cycle results.
   int num_threads = 1;
   SchedulePolicy policy = SchedulePolicy::kFifo;
-  /// Ready-queue data structure (serve/sched_index). kIndexed is the
-  /// production default; kScanReference keeps the seed linear scans as the
-  /// bit-identical quadratic baseline for tests and the scale bench. No
-  /// effect on simulated cycles, only on host wall-clock.
-  ReadyQueueImpl ready_queue = ReadyQueueImpl::kIndexed;
   RoutePolicy routing = RoutePolicy::kFirstFree;
   /// Stage-class affinity filter applied before `routing` picks among idle
   /// members (see StageAffinity). kNone preserves the pre-affinity router

@@ -125,9 +125,9 @@ struct RequestRecord {
     return compute_cycles() - service_cycles;
   }
 
-  /// Full-field equality — the primitive the determinism checks (indexed
-  /// vs scan-reference scheduler, 1 vs 8 threads) diff whole reports
-  /// with. New fields must be added here so those checks stay complete.
+  /// Full-field equality — the primitive the determinism checks (1 vs N
+  /// threads, probes attached or not) diff whole reports with. New fields
+  /// must be added here so those checks stay complete.
   friend bool operator==(const RequestRecord& a, const RequestRecord& b) {
     return a.id == b.id && a.workload == b.workload && a.gemm == b.gemm &&
            a.arrival_cycle == b.arrival_cycle &&

@@ -202,12 +202,10 @@ BurstyTraceSource serve_scale_source(int num_requests) {
                            Rng(kServeScaleSeed));
 }
 
-PoolConfig serve_scale_pool_config(ReadyQueueImpl ready_queue,
-                                   int num_threads) {
+PoolConfig serve_scale_pool_config(ReadyQueueImpl, int num_threads) {
   PoolConfig cfg;
   cfg.fleet = serve_scale_fleet();
   cfg.policy = SchedulePolicy::kEarliestDeadlineFirst;
-  cfg.ready_queue = ready_queue;
   cfg.num_threads = num_threads;
   cfg.chunking = ChunkPolicy::kDeadlineAware;
   cfg.chunk_tiles = 4;
@@ -508,7 +506,7 @@ std::vector<ScenarioSpec> build_registry() {
                    queue_factory(disagg_trace)});
   specs.push_back({"serve_scale_200k",
                    "200k-request mixed-SLO backlog, indexed ready queue",
-                   serve_scale_pool_config(ReadyQueueImpl::kIndexed),
+                   serve_scale_pool_config(),
                    queue_factory([] { return serve_scale_trace(); })});
   specs.push_back({"closed_loop_estimate",
                    "closed-loop clients, fixed service estimate",
@@ -524,7 +522,7 @@ std::vector<ScenarioSpec> build_registry() {
                    }});
   specs.push_back({"serve_scale_10m",
                    "10^7-request streaming pipeline (memory trajectory)",
-                   serve_scale_pool_config(ReadyQueueImpl::kIndexed), [] {
+                   serve_scale_pool_config(), [] {
                      return std::make_unique<BurstyTraceSource>(
                          serve_scale_source(10000000));
                    }});

@@ -89,11 +89,11 @@ PoolConfig chunked_prefill_pool_config(ChunkPolicy chunking);
 // requests whose arrival rate outruns the fleet, so the ready queue grows
 // thousands of batches deep — exactly the regime where the seed's linear
 // ready-queue scans went quadratic (O(depth) per event) and the indexed
-// serve core stays O(log depth). Both implementations produce bit-identical
-// records on this trace (bench_serve_scale asserts it; serve_scale_test
-// diffs a small variant, 1 vs 8 threads, under TSan); only host wall-clock
-// differs. CI's BENCH_serve.json gates the simulated-cycle metrics of the
-// full-size trace and reports wall_seconds informationally.
+// serve core stays O(log depth). bench_serve_scale sweeps it and fails its
+// smoke run unless us/request stays near-flat across sizes;
+// serve_scale_test diffs a small variant, 1 vs 8 threads, under TSan. CI's
+// BENCH_serve.json gates the simulated-cycle metrics of the full-size
+// trace and reports wall_seconds informationally.
 
 inline constexpr std::uint64_t kServeScaleSeed = 424242;
 inline constexpr int kServeScaleRequests = 200000;
@@ -121,10 +121,13 @@ RequestQueue serve_scale_trace(int num_requests = kServeScaleRequests);
 /// deque — the form the 10^7-request sweep serves directly.
 BurstyTraceSource serve_scale_source(int num_requests = kServeScaleRequests);
 
+/// Retired ready-queue tag, kept because perfbench/ call sites still pass it.
+enum class ReadyQueueImpl { kIndexed };
+
 /// Pool configuration for the scenario: EDF + continuous admission +
-/// deadline-aware chunking on the 4-member fleet, under the given
-/// ready-queue implementation. `num_threads` only moves wall-clock.
-PoolConfig serve_scale_pool_config(ReadyQueueImpl ready_queue,
+/// deadline-aware chunking on the 4-member fleet. The tag is ignored;
+/// `num_threads` only moves wall-clock.
+PoolConfig serve_scale_pool_config(ReadyQueueImpl = ReadyQueueImpl::kIndexed,
                                    int num_threads = 1);
 
 // ---- fleet contention --------------------------------------------------

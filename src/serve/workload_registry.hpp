@@ -68,10 +68,11 @@ class WorkloadRegistry {
   WorkloadId intern(const std::string& name, const GemmShape& shape = {},
                     const SloPolicy& slo = {});
 
-  /// Interns a multi-stage workload. `chain` must be non-empty; the
-  /// workload's canonical shape is the first stage's GEMM (what the trace
-  /// generators stamp on arriving requests). First registration wins, like
-  /// intern().
+  /// Interns a multi-stage workload. `chain` must be non-empty and every
+  /// stage after the first must have a valid GEMM; the workload's canonical
+  /// shape is the first stage's GEMM (what the trace generators stamp on
+  /// arriving requests, so admission checks it per request). First
+  /// registration wins, like intern().
   WorkloadId intern_chain(const std::string& name, const StageChain& chain,
                           const SloPolicy& slo = {});
 

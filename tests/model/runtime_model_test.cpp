@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.hpp"
 #include "memory/traffic.hpp"
 
@@ -243,6 +245,11 @@ TEST(ChunkedGemmTest, ExtentsCoverMAndAlignToTiles) {
   const auto whole = chunk_m_extents(g, Dataflow::kOS, array, 0);
   ASSERT_EQ(whole.size(), 1u);
   EXPECT_EQ(whole[0], g.M);
+  // A quantum whose row count would overflow i64 is one whole chunk.
+  const auto huge = chunk_m_extents(g, Dataflow::kOS, array,
+                                    std::numeric_limits<i64>::max());
+  ASSERT_EQ(huge.size(), 1u);
+  EXPECT_EQ(huge[0], g.M);
 }
 
 TEST(ChunkedGemmTest, AlignedChunksSumToUnchunkedComputeExactly) {

@@ -5,6 +5,8 @@
 // on the canonical chunked-prefill scenario (TSan runs this suite).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "serve/pool.hpp"
@@ -67,6 +69,34 @@ TEST(ChunkPolicyTest, OneTileBatchChunkingIsANoOp) {
     EXPECT_EQ(chunked.records[i].completion_cycle,
               whole.records[i].completion_cycle);
     EXPECT_EQ(chunked.records[i].batch_chunks, 1);
+  }
+}
+
+TEST(ChunkPolicyTest, QuantumPastI64RunsEveryBatchWhole) {
+  // chunk_tiles times the 32-row tile overflows i64: the quantum covers
+  // every batch, so both chunking policies must replay kNone exactly.
+  const auto trace = [] {
+    RequestQueue q;
+    q.push(make_request(0, {256, 512, 512}, 0, /*deadline=*/-1,
+                        /*priority=*/1));
+    q.push(make_request(1, {1, 512, 512}, 1000, /*deadline=*/200000));
+    q.push(make_request(2, {100, 64, 64}, 2000));
+    return q;
+  };
+  const ServeReport whole =
+      serve_queue(chunk_config(ChunkPolicy::kNone), trace());
+  for (const ChunkPolicy policy :
+       {ChunkPolicy::kFixedTiles, ChunkPolicy::kDeadlineAware}) {
+    PoolConfig cfg = chunk_config(policy);
+    cfg.chunk_tiles = std::numeric_limits<i64>::max();
+    const ServeReport huge = serve_queue(cfg, trace());
+    EXPECT_EQ(huge.total_chunks, huge.total_batches);
+    EXPECT_EQ(huge.preemptions, 0);
+    ASSERT_EQ(huge.records.size(), whole.records.size());
+    for (std::size_t i = 0; i < huge.records.size(); ++i) {
+      EXPECT_EQ(huge.records[i], whole.records[i])
+          << to_string(policy) << " record " << i;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "serve/request.hpp"
 #include "workloads/table3.hpp"
@@ -296,6 +297,28 @@ TEST(AcceleratorPoolTest, LateArrivalJoinsUndispatchedReadyBatch) {
   EXPECT_EQ(rep.records[1].batch_size, 2);
   EXPECT_EQ(rep.records[2].batch_size, 2);
   EXPECT_EQ(rep.records[1].completion_cycle, rep.records[2].completion_cycle);
+}
+
+TEST(AcceleratorPoolTest, InvalidGemmIsRejectedEvenWhereItCouldJoin) {
+  // r0 holds the only accelerator; r1's group closes into the ready queue
+  // at max_wait; r2 has r1's (K, N) but M = 0. Joining r1's batch would
+  // skip the batcher's shape check, so admission itself must reject r2 —
+  // as it does when no batch is waiting.
+  PoolConfig cfg = base_config(1);
+  cfg.batching = {/*max_batch=*/8, /*max_wait_cycles=*/5};
+  cfg.batching.continuous_admission = true;
+  RequestQueue q;
+  q.push(make_req(q, 0, {4096, 512, 512}, 0));
+  q.push(make_req(q, 1, {8, 64, 64}, 1));
+  q.push(make_req(q, 2, {0, 64, 64}, 20));
+  AcceleratorPool pool(cfg);
+  try {
+    (void)pool.serve(q);
+    ADD_FAILURE() << "serve() admitted a request with M = 0";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("request 2"), std::string::npos) << what;
+  }
 }
 
 TEST(AcceleratorPoolTest, EagerCloseOfOpenGroupsHonoursPriority) {

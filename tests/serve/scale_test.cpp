@@ -1,10 +1,12 @@
 // The serve_scale scenario, test-sized: a small variant of the canonical
 // production-trace-size scenario (serve/scenarios serve_scale_*) deep
-// enough to oscillate the ready queue hundreds of batches deep, diffed
-// record-by-record (1) between the indexed serve core and the seed's
-// scan-reference scheduler and (2) between 1 and 8 worker threads — the
-// latter under TSan in CI (this suite matches the serve_ filter). Plus the
-// overflow-safe to_fleet_cycles boundary cases the scale regime motivated.
+// enough to oscillate the ready queue hundreds of batches deep, checked
+// to exercise multi-chunk dispatch and realized preemptions, and diffed
+// record-by-record between 1 and 8 worker threads under TSan in CI (this
+// suite matches the serve_ filter). The ready queue itself is diffed
+// against the seed's linear scans op by op in serve_sched_index_test. Plus
+// the overflow-safe to_fleet_cycles boundary cases the scale regime
+// motivated.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -20,8 +22,10 @@ namespace {
 // a sanitizer-instrumented run.
 constexpr int kTestRequests = 3000;
 
-ServeReport serve_scale(ReadyQueueImpl impl, int threads) {
-  AcceleratorPool pool(serve_scale_pool_config(impl, threads));
+ServeReport serve_scale(int threads) {
+  PoolConfig cfg = serve_scale_pool_config();
+  cfg.num_threads = threads;
+  AcceleratorPool pool(cfg);
   RequestQueue q = serve_scale_trace(kTestRequests);
   return pool.serve(q);
 }
@@ -55,23 +59,16 @@ void expect_identical_records(const ServeReport& a, const ServeReport& b) {
   EXPECT_EQ(a.preemptions, b.preemptions);
 }
 
-TEST(ServeScaleTest, IndexedMatchesScanReferenceRecordForRecord) {
-  const ServeReport indexed = serve_scale(ReadyQueueImpl::kIndexed, 1);
-  const ServeReport scan = serve_scale(ReadyQueueImpl::kScanReference, 1);
-  ASSERT_EQ(indexed.records.size(),
-            static_cast<std::size_t>(kTestRequests));
-  expect_identical_records(indexed, scan);
-  // The scenario actually exercises the deep-queue machinery: multi-chunk
-  // dispatch, realized preemptions, continuous-admission joins.
-  EXPECT_GT(indexed.total_chunks, indexed.total_batches);
-  EXPECT_GT(indexed.preemptions, 0);
-}
-
 TEST(ServeScaleTest, ThreadCountInvariantOnTheScaleScenario) {
-  // 1 vs 8 worker threads on the indexed core: the simulated timeline is
-  // a pure function of the trace — TSan watches this one in CI.
-  expect_identical_records(serve_scale(ReadyQueueImpl::kIndexed, 1),
-                           serve_scale(ReadyQueueImpl::kIndexed, 8));
+  // 1 vs 8 worker threads: the simulated timeline is a pure function of
+  // the trace — TSan watches this one in CI.
+  const ServeReport one = serve_scale(1);
+  ASSERT_EQ(one.records.size(), static_cast<std::size_t>(kTestRequests));
+  // The scenario actually exercises the deep-queue machinery: multi-chunk
+  // dispatch and realized preemptions.
+  EXPECT_GT(one.total_chunks, one.total_batches);
+  EXPECT_GT(one.preemptions, 0);
+  expect_identical_records(one, serve_scale(8));
 }
 
 TEST(ToFleetCyclesTest, ExactCeilDivisionAtOrdinaryMagnitudes) {

@@ -66,6 +66,17 @@ TEST(ChainInterningTest, FirstRegistrationWinsAndEmptyChainFails) {
   EXPECT_THROW(reg.intern_chain("empty", {}), CheckError);
 }
 
+TEST(ChainInterningTest, InvalidLaterStageFails) {
+  // Successor stages take their shapes from the chain, so interning is
+  // where a bad one must be caught; stage 0's shape rides on each request.
+  WorkloadRegistry reg;
+  const StageChain chain = {{{64, 256, 512}, StageClass::kPrefill},
+                            {{0, 64, 64}, StageClass::kDecode}};
+  EXPECT_THROW(reg.intern_chain("gen", chain), CheckError);
+  WorkloadId id = 0;
+  EXPECT_FALSE(reg.find("gen", &id));
+}
+
 // A two-stage chain on a plain homogeneous pool (no topology): stage 1
 // must re-enter through the normal admission path and finish after stage 0,
 // with the per-stage table recording both hops and a zero fabric handoff.

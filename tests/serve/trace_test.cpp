@@ -34,8 +34,9 @@ struct TracedRun {
 };
 
 TracedRun run_traced(int threads) {
-  AcceleratorPool pool(
-      serve_scale_pool_config(ReadyQueueImpl::kIndexed, threads));
+  PoolConfig cfg = serve_scale_pool_config();
+  cfg.num_threads = threads;
+  AcceleratorPool pool(cfg);
   obs::TraceSink sink;
   pool.add_probe(&sink);
   TracedRun out;
@@ -79,7 +80,7 @@ TEST(ServeTraceTest, SpansReconcileWithTheReport) {
 
 TEST(ServeTraceTest, AttachingProbesChangesNoRecord) {
   const TracedRun traced = run_traced(1);
-  AcceleratorPool bare_pool(serve_scale_pool_config(ReadyQueueImpl::kIndexed, 1));
+  AcceleratorPool bare_pool(serve_scale_pool_config());
   RequestQueue bare_q = serve_scale_trace(kTestRequests);
   const ServeReport bare = bare_pool.serve(bare_q);
   ASSERT_EQ(traced.report.records.size(), bare.records.size());
@@ -109,7 +110,7 @@ TEST(ServeTraceTest, MultiStageRunsAnnotateSuccessorStageSpans) {
 }
 
 TEST(ServeTraceTest, LatencyBreakdownSumsExactlyPerRecord) {
-  AcceleratorPool pool(serve_scale_pool_config(ReadyQueueImpl::kIndexed, 1));
+  AcceleratorPool pool(serve_scale_pool_config());
   RequestQueue q = serve_scale_trace(kTestRequests);
   const ServeReport r = pool.serve(q);
   ASSERT_EQ(r.records.size(), static_cast<std::size_t>(kTestRequests));
