@@ -200,13 +200,6 @@ i64 BandwidthArbiter::finish_delta(const Stream& s, i64 k) const {
   return std::max(by_share, by_channel);
 }
 
-void BandwidthArbiter::record_transfer_done(Stream& s, i64 finish) {
-  s.transfer_finish = finish;
-  NodeLedger& ledger = ledgers_[static_cast<std::size_t>(s.node)];
-  ledger.transfer_cycles += finish - s.dispatch_cycle;
-  ledger.transfer_cycles_private += s.private_transfer_fleet;
-}
-
 void BandwidthArbiter::reproject(Node& node, i64 now,
                                  std::vector<Reprice>& repriced) {
   const i64 k = static_cast<i64>(node.active.size());
@@ -256,10 +249,15 @@ void BandwidthArbiter::advance_node(int node_id, i64 now,
     node.inflight_bytes -= delivered;
     ledger.bytes_drained += delivered;
     if (s.remaining == 0) {
-      // Finished strictly within the window only when it ran solo (with
-      // k >= 2 the loop stops at the earliest projected finish, which is
-      // `now`); the projected finish is exact either way.
-      record_transfer_done(s, std::min(s.transfer_finish, now));
+      // Book the projected finish, not the wake cycle `now`. A fluid
+      // stream drains exactly there (the loop stops at the earliest
+      // projected finish). A closed-form solo stream's finish rounds up
+      // to device and then fleet cycles at a floored solo bandwidth, so
+      // the fluid delivery can drain it a few cycles early, at whatever
+      // event happens to advance the node; its projected finish is the
+      // transfer leg its filed completion used.
+      ledger.transfer_cycles += s.transfer_finish - s.dispatch_cycle;
+      ledger.transfer_cycles_private += s.private_transfer_fleet;
       s.active = false;
       node.active.erase(node.active.begin() +
                         static_cast<std::ptrdiff_t>(i));

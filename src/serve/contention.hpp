@@ -269,7 +269,6 @@ class BandwidthArbiter {
   /// and re-prices survivors when membership changed.
   void advance_node(int node, i64 now, std::vector<Reprice>& repriced);
   void reproject(Node& node, i64 now, std::vector<Reprice>& repriced);
-  void record_transfer_done(Stream& s, i64 finish);
   void refresh_next_event();
 
   const FabricModel* fabric_;

@@ -3,7 +3,9 @@
 // drains a request trace through the dynamic batcher under a scheduling
 // policy (FIFO / shortest-job-first / earliest-deadline-first) and a
 // routing policy that decides which device a picked batch runs on. The
-// simulation is a discrete-event loop over simulated cycles. Under
+// simulation is a discrete-event loop over simulated cycles, run by a
+// ServeLoop (pool.cpp) whose members are one run's state and whose methods
+// are its phases: admit, pick, route, dispatch, retire. Under
 // ExecMode::kAnalytical every dispatch is priced inline by the pool's one
 // memoized cost function and its completion filed in the calendar at once.
 // Under kCycleAccurate each dispatched chunk instead simulates on a real
@@ -68,10 +70,9 @@ std::string to_string(RoutePolicy policy);
 /// traffic) matches every member, and a member with serves == kGeneral
 /// accepts every batch, so the default fleet is unchanged.
 enum class StageAffinity {
-  kNone,       ///< ignore stage classes entirely (the pre-PR router)
-  kPreferred,  ///< prefer matching idle members; fall back to any idle one
-  kStrict,     ///< disaggregated pools: a batch waits for a matching member
-               ///< rather than run on a mismatched one
+  kNone,    ///< ignore stage classes entirely (the pre-affinity router)
+  kStrict,  ///< disaggregated pools: a batch waits for a matching member
+            ///< rather than run on a mismatched one
 };
 
 std::string to_string(StageAffinity affinity);
@@ -290,6 +291,8 @@ class AcceleratorPool {
   /// function, so the memo stays exact as node demand churns.
   [[nodiscard]] Price price(std::size_t device, const GemmShape& gemm,
                             bool weights_resident, i64 demand) const;
+
+  class ServeLoop;  ///< one serve() run: its state and phases (pool.cpp)
 
   PoolConfig config_;
   FabricModel fabric_;  ///< static contention pricing; disabled by default

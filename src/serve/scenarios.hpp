@@ -234,8 +234,8 @@ inline constexpr int kDisaggRequests = 384;
 /// 2x "prefill64x64" (64x64 array, 64 B/cycle, serves kPrefill, node 0) +
 /// 2x "decode32x32" (32x32 clocked 2x, 256 B/cycle, serves kDecode,
 /// node 1), all with 16 MiB weight caches. The `serves` tags only bind
-/// under kStrict/kPreferred affinity — the unified run uses the *same*
-/// hardware with the tags ignored, so the knob is the only difference.
+/// under kStrict affinity — the unified run uses the *same* hardware with
+/// the tags ignored, so the knob is the only difference.
 std::vector<AcceleratorSpec> disagg_fleet();
 
 /// Two memory nodes (prefill members on 0, decode members on 1) with

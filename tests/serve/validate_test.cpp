@@ -103,8 +103,7 @@ TEST(PoolConfigValidateTest, RejectsTopologyFleetSizeMismatch) {
 TEST(PoolConfigValidateTest, RejectsStageAffinityOnAnUntypedFleet) {
   // All-general fleets — the minimal one and a scenario's — fail: the knob
   // would silently do nothing.
-  for (const StageAffinity affinity :
-       {StageAffinity::kPreferred, StageAffinity::kStrict}) {
+  for (const StageAffinity affinity : {StageAffinity::kStrict}) {
     PoolConfig cfg = base_config();
     cfg.stage_affinity = affinity;
     EXPECT_THROW(cfg.validate(), CheckError);
