@@ -1,21 +1,19 @@
 // Serving-subsystem throughput study: batch-size and pool-size sweeps on
 // the ResNet50 and transformer mixes, a heterogeneous-fleet routing sweep
 // (simulated cycles), plus wall-clock microbenchmarks of the serving
-// simulator itself — including the multi-threaded worker pool against the
-// single-threaded baseline.
+// simulator itself, analytic and cycle-accurate.
 //
 // CI mode:
 //   bench_serve_throughput --smoke --json BENCH_serve.json
 // runs a short, fully deterministic scenario set (simulated-cycle metrics
-// only — same numbers on any machine and thread count) and writes them as
-// JSON for the perf-trajectory artifact. See README "CI" for the cache
-// keys and how to reproduce locally.
+// only — same numbers on any machine) and writes them as JSON for the
+// perf-trajectory artifact. See README "CI" for the cache keys and how to
+// reproduce locally.
 #include <sys/resource.h>
 
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -275,25 +273,18 @@ void bench_serve_dispatch_overhead(benchmark::State& state) {
 BENCHMARK(bench_serve_dispatch_overhead)->Unit(benchmark::kMillisecond);
 
 void bench_serve_cycle_accurate(benchmark::State& state) {
-  // Wall-clock scaling of the worker pool on the cycle-accurate simulator;
-  // arg is the thread count. Simulated cycles are identical across args —
-  // only wall time changes.
+  // Wall clock of serving with every chunk simulated on the PE grid.
   const std::vector<GemmWorkload> mix = {{"s", {8, 16, 16}},
                                          {"m", {16, 16, 16}}};
   PoolConfig cfg = config(4, 4);
   for (AcceleratorSpec& spec : cfg.fleet) spec.accelerator.array = {8, 8};
   cfg.exec = ExecMode::kCycleAccurate;
-  cfg.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     const ServeReport r = serve_queue(cfg, trace_for(mix, 48, 200.0));
     benchmark::DoNotOptimize(r.makespan_cycles);
   }
 }
-BENCHMARK(bench_serve_cycle_accurate)
-    ->Arg(1)
-    ->Arg(static_cast<long>(
-        std::max(1u, std::thread::hardware_concurrency())))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bench_serve_cycle_accurate)->Unit(benchmark::kMillisecond);
 
 // ---- CI smoke mode ---------------------------------------------------
 
@@ -320,8 +311,8 @@ i64 decode_p99_cycles(const ServeReport& r) {
 /// Short deterministic scenario set, resolved by name from the
 /// serve/scenarios registry (the artifact's rows and the registry's names
 /// are the same list by construction): every metric below is in simulated
-/// cycles (identical on any host/thread count), so the JSON artifact is
-/// diffable across CI runs — a perf trajectory, not a noise source.
+/// cycles (identical on any host), so the JSON artifact is diffable
+/// across CI runs — a perf trajectory, not a noise source.
 /// A few scenarios attach extras the registry cannot express: the
 /// serve_scale_200k run carries the obs instrumentation (deterministic
 /// registry counts plus the "wall_phase_*" self-profile), serve_scale_10m

@@ -6,9 +6,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# The bench-regression gate polices CI; its own logic is unit-tested
-# first so a bug in the gate cannot silently wave regressions through.
+# The bench-regression and trace-validation gates police CI; their own
+# logic is unit-tested first so a bug in a gate cannot silently wave
+# regressions through.
 python3 scripts/compare_bench.py --self-test
+python3 scripts/validate_trace.py --self-test
 
 cmake -B build -S .
 cmake --build build -j

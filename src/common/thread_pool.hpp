@@ -1,8 +1,7 @@
-// Fixed-size worker pool for coarse-grained simulation jobs (whole tiles,
-// partitions, or serve-layer batches). Results come back through
-// std::future, so callers decide exactly when to synchronize — the serving
-// simulator exploits that to keep its simulated timeline deterministic
-// while the cycle-accurate work runs on however many cores are available.
+// Fixed-size worker pool for coarse-grained simulation jobs, such as the
+// independent cycle-accurate partitions of runner/scale_out. Results come
+// back through std::future, so callers decide exactly when to synchronize
+// and collect results in a fixed order, independent of thread count.
 #pragma once
 
 #include <condition_variable>

@@ -11,7 +11,7 @@
 // every operation is a no-op behind one branch; to_json() is "{}" and no
 // sample storage ever grows. All snapshot values are integers (counts,
 // cycles, exact-sample percentiles), so output is deterministic and
-// byte-stable across platforms and worker-thread counts.
+// byte-stable across platforms.
 #pragma once
 
 #include <map>
@@ -115,8 +115,8 @@ class MetricsRegistry {
 /// events into a registry under the "serve." prefix — request/join/batch/
 /// chunk/preemption/requeue/deadline-miss counts, queue-depth and cache
 /// peaks, and the per-request latency-breakdown histograms. Attach with
-/// AcceleratorPool::add_probe; everything fires from the single-threaded
-/// serve loop, so registry state is deterministic.
+/// AcceleratorPool::add_probe; everything fires from the serve loop in
+/// event order, so registry state is deterministic.
 class MetricsProbe : public PoolProbe {
  public:
   explicit MetricsProbe(MetricsRegistry* registry);

@@ -1,11 +1,11 @@
 // Observability, layer 0: the probe. AcceleratorPool::serve is a
 // single-threaded discrete-event loop over a deterministic timeline; a
 // PoolProbe is a passive observer of that loop — every callback fires from
-// the serve loop itself (never from a worker thread), in event order, with
-// simulated-cycle timestamps. Because probes only *read* the timeline,
-// attaching one can never change simulated cycles, and because the loop is
-// single-threaded, probe output is bit-identical across worker-thread
-// counts — the property serve_trace_test pins down byte-for-byte.
+// the serve loop itself, in event order, with simulated-cycle timestamps.
+// Because probes only *read* the timeline, attaching one can never change
+// simulated cycles (serve_trace_test diffs every record with and without
+// a TraceSink), and probe output is a pure function of the config and the
+// trace.
 //
 // Zero overhead when disabled: the pool keeps a plain vector of probe
 // pointers and every emission site is guarded by an empty() check, so a
@@ -15,7 +15,7 @@
 //
 // This header also hosts the serve-loop self-profiler: wall-clock (NOT
 // simulated-cycle) accounting of where the loop itself spends host time
-// (admit/pick/route/dispatch/harvest/retire), for finding the next
+// (admit/pick/route/dispatch/retire), for finding the next
 // serve-core bottleneck. Wall time is inherently nondeterministic, so the
 // profile rides in ServeReport next to wall_seconds and is published as
 // informational bench metrics only — it can never gate.
@@ -145,11 +145,12 @@ class PoolProbe {
 
 /// The serve loop's phases, in loop order. kAdmit covers arrival pops,
 /// joins, and batch closes; kPick the ready-vs-open-group argmin; kRoute
-/// the device choice; kDispatch chunk sizing, cache touch, arbiter
-/// admission, and then either analytic pricing plus calendar filing or
-/// cycle-accurate worker submission; kHarvest the cycle-accurate worker
-/// sync (never entered under ExecMode::kAnalytical); kRetire completion
-/// processing (including record filing).
+/// the device choice; kDispatch chunk sizing, cache touch, pricing (a
+/// memoized roofline lookup, or the whole PE-grid simulation under
+/// ExecMode::kCycleAccurate), arbiter admission and calendar filing;
+/// kRetire completion processing (including record filing). kHarvest is
+/// never timed (the loop has no worker threads to wait on); it stays
+/// because perfbench/ still reads it.
 enum class ServePhase {
   kAdmit,
   kPick,

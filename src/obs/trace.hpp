@@ -28,12 +28,12 @@
 //                      onsets are visible next to preemptions.
 //
 // Every emitted value is an integer from the simulated timeline and every
-// event is emitted from the single-threaded serve loop in event order, so
-// the rendered JSON is byte-identical across worker-thread counts —
-// serve_trace_test diffs the full string 1-vs-8-threads, and CI validates
-// per-track timestamp monotonicity of the "X"/"C" events (async "b"/"e"
-// pairs are emitted at close time with their open timestamp, so they are
-// exempt by design).
+// event is emitted from the serve loop in event order, so the rendered
+// JSON is a pure function of the config and the trace — serve_trace_test
+// reconciles it with the report it was recorded alongside, and CI
+// validates per-track timestamp monotonicity of the "X"/"C" events (async
+// "b"/"e" pairs are emitted at close time with their open timestamp, so
+// they are exempt by design).
 //
 // The sink also keeps reconciliation totals (per-device span cycles,
 // preemption-instant count) so tests can assert trace-vs-report agreement

@@ -41,14 +41,11 @@ struct NetworkReport {
   double roofline_speedup = 0.0;        ///< per-layer max(compute, transfer)
 };
 
-/// Analyzes the network on a square array of the given size. Layers are
-/// independent closed-form evaluations, so with `num_threads > 1` they run
-/// concurrently on a common/thread_pool; per-layer results are collected
-/// in layer order and aggregated sequentially, so the report — row order
-/// included — is identical for any thread count.
+/// Analyzes the network on a square array of the given size: one
+/// closed-form evaluation per layer, rows in layer order.
 NetworkReport analyze_network(const std::string& name,
                               const std::vector<ConvWorkload>& layers,
-                              int array_size, int num_threads = 1);
+                              int array_size);
 
 /// Writes the per-layer rows as CSV (header + one row per layer + totals).
 void write_csv(const NetworkReport& report, std::ostream& os);

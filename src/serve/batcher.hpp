@@ -7,7 +7,7 @@
 // A batch closes when it reaches `max_batch` members or when its oldest
 // member has waited `max_wait_cycles` — the standard throughput/latency
 // knob pair. The batcher is a pure simulated-time state machine: admit()
-// and pop_ready() take the current cycle, nothing here knows about threads.
+// and pop_ready() take the current cycle, nothing here reads a clock.
 #pragma once
 
 #include <deque>

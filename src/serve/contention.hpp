@@ -36,11 +36,10 @@
 //                    exceeds its budget — serve_contention_test pins both
 //                    the invariant and the re-pricing semantics.
 //
-// Determinism contract: all arbiter state mutates exclusively in the
-// single-threaded serve loop (admit at dispatch, resolve once the compute
-// leg is known, advance at time steps, release at retire) — workers never
-// see it — so the simulated timeline stays bit-identical for any
-// worker-thread count.
+// Determinism contract: all arbiter state mutates in the serve loop alone
+// (admit at dispatch, advance at time steps, release at retire), in event
+// order, so the simulated timeline is a pure function of the config and
+// the trace.
 //
 // Integer exactness: bytes are floored once per constant-rate epoch, as
 // floor(elapsed * rate) measured from the epoch start (admit, or the last
@@ -158,12 +157,10 @@ class FabricModel {
 /// per serve() run; every method is called from the serve loop only.
 ///
 /// Stream lifecycle, keyed by the chunk's completion-calendar slot:
-///   admit()    at dispatch — registers the chunk's DRAM traffic; the
-///              demand bump may re-price other in-flight chunks.
-///   resolve()  once the compute leg is known (at dispatch for analytic
-///              pricing, at harvest for cycle-accurate) — files and
-///              returns the chunk's completion cycle (max(compute,
-///              transfer) + hop latency).
+///   admit()    at dispatch, with the chunk's compute leg already known —
+///              registers its DRAM traffic and returns its completion
+///              cycle (max(compute, transfer) + hop latency); the demand
+///              bump may re-price other in-flight chunks.
 ///   advance()  at every time step — applies fluid progress up to `now`,
 ///              drains finished transfers, re-prices survivors whose
 ///              fair share grew.
@@ -177,8 +174,10 @@ class BandwidthArbiter {
     i64 completion_cycle = 0;
   };
 
-  /// What admit() tells the dispatch site (probe/report fodder).
+  /// What admit() tells the dispatch site: the cycle to file the chunk's
+  /// completion at, plus probe/report fodder.
   struct AdmitInfo {
+    i64 completion_cycle = 0;  ///< max(compute, transfer) + hop latency
     i64 demand = 0;        ///< concurrent streams on the node, incl. this
     bool contended = false;  ///< demand >= 2 (a slowdown instant)
     i64 hop_cycles = 0;    ///< fabric latency this dispatch pays
@@ -223,9 +222,8 @@ class BandwidthArbiter {
 
   void advance(i64 now, std::vector<Reprice>& repriced);
   AdmitInfo admit(std::size_t device, std::size_t slot, i64 now,
-                  i64 dram_bytes, i64 fabric_bytes,
+                  i64 dram_bytes, i64 fabric_bytes, i64 compute_fleet_cycles,
                   std::vector<Reprice>& repriced);
-  i64 resolve(std::size_t slot, i64 compute_fleet_cycles);
   void release(std::size_t slot, i64 now);
 
   [[nodiscard]] std::vector<StreamView> active_streams() const;
@@ -249,8 +247,8 @@ class BandwidthArbiter {
     i64 private_transfer_fleet = 0;  ///< same leg at the private rate
     i64 transfer_finish = -1;  ///< projected (fluid) or fixed (solo) finish
     i64 hop_cycles = 0;
-    i64 compute_done = -1;  ///< dispatch + compute leg; -1 until resolve()
-    i64 completion = -1;    ///< filed completion; -1 until resolve()
+    i64 compute_done = 0;  ///< dispatch + compute leg
+    i64 completion = -1;   ///< filed completion; -1 until admit() files it
   };
   struct Node {
     i64 budget = 0;  ///< <= 0 unlimited

@@ -5,13 +5,11 @@
 // routing policy that decides which device a picked batch runs on. The
 // simulation is a discrete-event loop over simulated cycles, run by a
 // ServeLoop (pool.cpp) whose members are one run's state and whose methods
-// are its phases: admit, pick, route, dispatch, retire. Under
-// ExecMode::kAnalytical every dispatch is priced inline by the pool's one
-// memoized cost function and its completion filed in the calendar at once.
-// Under kCycleAccurate each dispatched chunk instead simulates on a real
-// std::thread worker pool: chunks dispatched at the same simulated event
-// run concurrently, and the loop synchronizes on the workers before each
-// time advance (advancing needs every outstanding completion cycle).
+// are its phases: admit, pick, route, dispatch, retire. Every dispatch is
+// priced where it happens — by the pool's one memoized cost function under
+// ExecMode::kAnalytical, by simulating the chunk on the PE grid under
+// kCycleAccurate — and its completion filed in the calendar at once. The
+// loop runs on the calling thread alone.
 //
 // The core is event-indexed so per-event work is O(log n), not O(n), in
 // queue depth: the ready queue is a serve/sched_index (per-class heaps
@@ -26,12 +24,13 @@
 //
 // Determinism contract: a dispatch's cost is a pure function of the
 // dispatched chunk (shape + operand identity), the routed device's spec,
-// and the device's weight-cache state at dispatch — never of wall-clock,
-// thread id, or execution order. Cache state and chunk progress only
-// mutate in the single-threaded serve loop, so the simulated timeline
-// (every dispatch, completion and percentile) is identical for any
-// num_threads. Tests pin this down by diffing 1-thread vs N-thread
-// cycle-accurate reports — chunking, topology and stage chains included.
+// and the device's weight-cache state at dispatch — never of wall-clock.
+// Cache state, chunk progress and node demand mutate only in the serve
+// loop, in event order, so the simulated timeline (every dispatch,
+// completion and percentile) is a pure function of the config and the
+// trace. Tests pin cycle-accurate runs to recorded numbers — chunking,
+// topology and stage chains included — and fuzz invariants over random
+// configs in both exec modes.
 #pragma once
 
 #include <cstdint>
@@ -104,7 +103,7 @@ std::string to_string(ChunkPolicy policy);
 enum class ExecMode {
   kAnalytical,     ///< Table-2 scale-up equations, priced inline — fast
   kCycleAccurate,  ///< full cycle-accurate run on synthesized operands,
-                   ///< evaluated on the worker threads
+                   ///< simulated inline at dispatch — slow
 };
 
 // kRefClockMhz and to_fleet_cycles live in serve/contention.hpp (the
@@ -138,9 +137,6 @@ struct PoolConfig {
   /// at construction.
   std::vector<AcceleratorSpec> fleet;
 
-  /// Worker threads for kCycleAccurate evaluation; no effect under
-  /// kAnalytical (dispatches are priced inline) and never on cycle results.
-  int num_threads = 1;
   SchedulePolicy policy = SchedulePolicy::kFifo;
   RoutePolicy routing = RoutePolicy::kFirstFree;
   /// Stage-class affinity filter applied before `routing` picks among idle
@@ -172,8 +168,8 @@ struct PoolConfig {
   /// off; scenarios that set a topology opt in explicitly.
   bool congestion_aware = false;
   /// Operand synthesis seed for cycle-accurate execution; combined with the
-  /// batch's first request id so every batch sees fixed, thread-independent
-  /// data.
+  /// batch's first request id and the chunk ordinal so every chunk sees
+  /// fixed data.
   std::uint64_t data_seed = 0x5EEDAB1Eu;
   /// Wall-clock self-profiling of the serve loop's phases (obs/probe
   /// PhaseProfiler), surfaced as ServeReport::phase_profile. Off by
@@ -188,7 +184,7 @@ struct PoolConfig {
   /// capacity, congestion_aware without a topology, a topology whose
   /// device_node list mismatches the fleet size, chunked dispatch with a
   /// non-positive quantum, stage affinity on a fleet with no class-typed
-  /// member, and degenerate thread/batch counts. The AcceleratorPool
+  /// member, and degenerate batch sizes or wait times. The AcceleratorPool
   /// constructor calls this, so a pool with an invalid config cannot
   /// exist; configs built by hand can call it earlier.
   void validate() const;
@@ -209,8 +205,8 @@ class AcceleratorPool {
 
   /// Attaches a passive observer of the serve loop (obs/probe.hpp). Call
   /// before serve(); the pool does not own the probe and every callback
-  /// fires from the single-threaded serve loop, so probes never perturb
-  /// the simulated timeline or the thread-count determinism contract.
+  /// fires from the serve loop in event order, so probes never perturb
+  /// the simulated timeline.
   /// With no probes attached every emission site is one branch — the
   /// disabled path costs nothing measurable.
   void add_probe(obs::PoolProbe* probe);
@@ -301,9 +297,7 @@ class AcceleratorPool {
   /// pool, so their nodes come from one arena: an insert is a bump
   /// allocation, and teardown frees a few blocks instead of one node per
   /// entry. Mutated from const accessors (the cache is an exact, invisible
-  /// speedup), so: only the single-threaded serve loop — never the worker
-  /// threads — touches pool methods, which keeps the unguarded mutable
-  /// safe.
+  /// speedup) without a lock: a pool is not safe to share across threads.
   std::pmr::monotonic_buffer_resource cost_arena_;
   mutable std::pmr::unordered_map<CostKey, Price, CostKeyHash> cost_cache_;
 };

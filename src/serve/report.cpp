@@ -491,8 +491,8 @@ std::string ServeReport::summary() const {
   std::ostringstream os;
   os << "requests: " << num_requests() << "  batches: " << total_batches
      << "  mean batch: " << fmt_double(mean_batch_size(), 2) << "\n"
-     << "accelerators: " << per_accelerator.size() << "  threads: "
-     << num_threads << "  makespan: " << makespan_cycles << " cycles\n";
+     << "accelerators: " << per_accelerator.size()
+     << "  makespan: " << makespan_cycles << " cycles\n";
   // Chunk accounting only earns a line when dispatch was actually divisible
   // (total_chunks == total_batches means every batch ran whole).
   if (total_chunks > total_batches) {

@@ -3,8 +3,8 @@
 // (sim/stats Histogram), throughput, accelerator utilization, batching
 // effectiveness, and SLO attainment with per-workload / per-priority-class
 // breakdowns. Everything is in simulated cycles; wall-clock fields are
-// reported separately so the "N threads give the same simulated answer"
-// determinism contract stays visible.
+// reported separately so the determinism contract (the same config and
+// trace give the same simulated answer) stays visible.
 //
 // Records are stored *columnar* (RecordStore): one parallel vector per
 // field, with narrow types where the value range allows. The batch-level
@@ -125,9 +125,9 @@ struct RequestRecord {
     return compute_cycles() - service_cycles;
   }
 
-  /// Full-field equality — the primitive the determinism checks (1 vs N
-  /// threads, probes attached or not) diff whole reports with. New fields
-  /// must be added here so those checks stay complete.
+  /// Full-field equality — the primitive the determinism checks (probes
+  /// attached or not, streamed or materialized traces) diff whole reports
+  /// with. New fields must be added here so those checks stay complete.
   friend bool operator==(const RequestRecord& a, const RequestRecord& b) {
     return a.id == b.id && a.workload == b.workload && a.gemm == b.gemm &&
            a.arrival_cycle == b.arrival_cycle &&
@@ -428,7 +428,6 @@ struct ServeReport {
   /// reports intern through it directly.
   WorkloadRegistry workloads;
 
-  int num_threads = 0;  ///< wall-clock workers used (no effect on cycles)
   i64 makespan_cycles = 0;      ///< last completion cycle
   i64 total_busy_cycles = 0;    ///< sum of per-accelerator busy cycles
   /// Logical batches: the chunks of one batch count once.

@@ -183,7 +183,7 @@ struct BurstyTraceConfig {
 /// pool reports the request's real completion cycle via on_complete(), so
 /// re-issue times track actual service — at the cost of the trace now
 /// depending on the pool configuration (it is still deterministic for a
-/// fixed pool config and thread count, per the simulator's contract).
+/// fixed pool config, per the simulator's contract).
 struct ClosedLoopTraceConfig {
   int num_requests = 64;
   int num_clients = 8;

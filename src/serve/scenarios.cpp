@@ -202,11 +202,10 @@ BurstyTraceSource serve_scale_source(int num_requests) {
                            Rng(kServeScaleSeed));
 }
 
-PoolConfig serve_scale_pool_config(ReadyQueueImpl, int num_threads) {
+PoolConfig serve_scale_pool_config(ReadyQueueImpl, int) {
   PoolConfig cfg;
   cfg.fleet = serve_scale_fleet();
   cfg.policy = SchedulePolicy::kEarliestDeadlineFirst;
-  cfg.num_threads = num_threads;
   cfg.chunking = ChunkPolicy::kDeadlineAware;
   cfg.chunk_tiles = 4;
   // max_batch 8 keeps the backlog deep in *batches* (the unit the ready
@@ -319,11 +318,10 @@ ClosedLoopTraceSource closed_loop_source(bool completion_feedback,
       Rng(kClosedLoopSeed));
 }
 
-PoolConfig closed_loop_pool_config(int num_threads) {
+PoolConfig closed_loop_pool_config() {
   PoolConfig cfg;
   cfg.fleet = closed_loop_fleet();
   cfg.policy = SchedulePolicy::kFifo;
-  cfg.num_threads = num_threads;
   cfg.batching.max_batch = 8;
   cfg.batching.max_wait_cycles = 20000;
   cfg.batching.continuous_admission = true;

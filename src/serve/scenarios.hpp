@@ -91,9 +91,10 @@ PoolConfig chunked_prefill_pool_config(ChunkPolicy chunking);
 // ready-queue scans went quadratic (O(depth) per event) and the indexed
 // serve core stays O(log depth). bench_serve_scale sweeps it and fails its
 // smoke run unless us/request stays near-flat across sizes;
-// serve_scale_test diffs a small variant, 1 vs 8 threads, under TSan. CI's
-// BENCH_serve.json gates the simulated-cycle metrics of the full-size
-// trace and reports wall_seconds informationally.
+// serve_scale_test serves a small variant under TSan and checks it reaches
+// multi-chunk dispatch and preemption. CI's BENCH_serve.json gates the
+// simulated-cycle metrics of the full-size trace and reports wall_seconds
+// informationally.
 
 inline constexpr std::uint64_t kServeScaleSeed = 424242;
 inline constexpr int kServeScaleRequests = 200000;
@@ -125,10 +126,11 @@ BurstyTraceSource serve_scale_source(int num_requests = kServeScaleRequests);
 enum class ReadyQueueImpl { kIndexed };
 
 /// Pool configuration for the scenario: EDF + continuous admission +
-/// deadline-aware chunking on the 4-member fleet. The tag is ignored;
-/// `num_threads` only moves wall-clock.
+/// deadline-aware chunking on the 4-member fleet. Both parameters are
+/// ignored; they exist only because perfbench/ call sites still pass a
+/// queue tag and a thread count.
 PoolConfig serve_scale_pool_config(ReadyQueueImpl = ReadyQueueImpl::kIndexed,
-                                   int num_threads = 1);
+                                   int = 1);
 
 // ---- fleet contention --------------------------------------------------
 // The shared-bandwidth scenario: four identical cache-less members split
@@ -208,8 +210,8 @@ ClosedLoopTraceSource closed_loop_source(
     bool completion_feedback, int num_requests = kClosedLoopRequests);
 
 /// Pool configuration for the scenario: FIFO + continuous admission on the
-/// 2-member fleet. `num_threads` only moves wall-clock.
-PoolConfig closed_loop_pool_config(int num_threads = 1);
+/// 2-member fleet.
+PoolConfig closed_loop_pool_config();
 
 // ---- prefill/decode disaggregation -------------------------------------
 // The whole-network scenario: generation requests are two-stage chains
@@ -271,7 +273,7 @@ PoolConfig disagg_pool_config(StageAffinity affinity);
 /// A fully-specified serve run: the pool configuration and a factory for
 /// the canonical trace. `make_trace` returns a fresh source per call
 /// (sources are stateful); callers copy `config` to override
-/// presentation-only knobs such as num_threads or self_profile.
+/// presentation-only knobs such as self_profile.
 struct ScenarioSpec {
   std::string name;
   std::string summary;  ///< one line for listings

@@ -7,11 +7,10 @@
 //
 // This is a byte-capacity LRU over (K, N) footprints. The pool touches the
 // cache of the routed device at dispatch time (the moment weights would
-// stream), in the single-threaded serve loop — cache state is a pure
-// function of the dispatch sequence, so the determinism contract across
-// worker-thread counts is untouched. Cost-aware routing reads contains()
-// when pricing a (batch, device) pair, which is how weight affinity falls
-// out of the cost model for free.
+// stream), in the serve loop — cache state is a pure function of the
+// dispatch sequence, so the simulated timeline stays deterministic.
+// Cost-aware routing reads contains() when pricing a (batch, device) pair,
+// which is how weight affinity falls out of the cost model for free.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,5 @@
-// The accounting the energy model reads: EnergyModel::breakdown sums every
-// sram.* counter and prices the MacCounters, so the arrays' SRAM loads, MAC
-// split and idle cycles are pinned here as closed-form identities — both
+// The arrays' activity accounting — SRAM loads (the sram.* counters), the
+// MAC split and idle cycles — pinned as closed-form identities: both
 // architectures, every dataflow, square / wide / tall tiles. Tiles are given
 // in engine axes: r x c used PEs streaming T temporal steps.
 #include <string>

@@ -1,13 +1,14 @@
-// The two dispatch paths. Analytic dispatches are priced inline by the
-// pool's one memoized cost function: every retired chunk's service time
-// must equal the public device_cycles() price of exactly that chunk.
-// Cycle-accurate dispatches are the only ones that run on worker threads:
-// chunking, a two-node topology and a two-stage chain on small arrays must
-// produce bit-identical records, per-stage rows and per-node stats for 1
-// vs 4 workers (CI's TSan job runs this suite through its serve_ filter).
+// The two ways a dispatch is priced, both at dispatch. Analytic
+// dispatches read the pool's one memoized cost function: every retired
+// chunk's service time must equal the public device_cycles() price of
+// exactly that chunk. Cycle-accurate dispatches simulate the chunk on the
+// PE grid: chunking, a two-node topology and a two-stage chain on small
+// arrays are pinned to recorded makespan, chunk, busy-cycle, stage-row and
+// per-node numbers.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -104,13 +105,12 @@ TEST(AnalyticDispatchTest, EveryChunkCostsItsDeviceCyclesPrice) {
   for (const int n : per_device) EXPECT_GT(n, 0);
 }
 
-ServeReport serve_cycle_accurate(int threads) {
+ServeReport serve_cycle_accurate() {
   PoolConfig cfg;
   const AcceleratorSpec square = spec(8, 8, kRefClockMhz, 32);
   const AcceleratorSpec fast = spec(4, 8, 2 * kRefClockMhz, 16);
   cfg.fleet = {square, square, fast, spec(8, 4, kRefClockMhz, 32)};
   cfg.exec = ExecMode::kCycleAccurate;
-  cfg.num_threads = threads;
   cfg.routing = RoutePolicy::kLeastCost;
   cfg.chunking = ChunkPolicy::kFixedTiles;
   cfg.chunk_tiles = 1;
@@ -141,64 +141,49 @@ ServeReport serve_cycle_accurate(int threads) {
   return pool.serve(q);
 }
 
-TEST(CycleAccurateDispatchTest, WorkerCountChangesNoSimulatedNumber) {
-  const ServeReport one = serve_cycle_accurate(1);
-  const ServeReport four = serve_cycle_accurate(4);
+TEST(CycleAccurateDispatchTest, ChunkedContendedChainMatchesRecordedNumbers) {
+  const ServeReport r = serve_cycle_accurate();
 
   // The run exercises what it claims to: chunks, stage rows, contention
   // and fabric hops.
-  EXPECT_GT(one.total_chunks, one.total_batches);
-  EXPECT_GT(one.records.num_stage_rows(), 0u);
+  EXPECT_GT(r.total_chunks, r.total_batches);
+  EXPECT_GT(r.records.num_stage_rows(), 0u);
   i64 contended = 0;
-  for (const NodeStats& n : one.per_node) contended += n.contended_dispatches;
+  for (const NodeStats& n : r.per_node) contended += n.contended_dispatches;
   EXPECT_GT(contended, 0);
   i64 hops = 0;
-  for (const AcceleratorStats& a : one.per_accelerator) {
+  for (const AcceleratorStats& a : r.per_accelerator) {
     hops += a.hop_dispatches;
   }
   EXPECT_GT(hops, 0);
 
-  ASSERT_EQ(one.records.size(), four.records.size());
-  for (std::size_t i = 0; i < one.records.size(); ++i) {
-    ASSERT_EQ(one.records[i], four.records[i]) << "record " << i;
+  // Recorded numbers: a change to cycle-accurate pricing, chunking, the
+  // arbiter or the calendar that moves any of them shows up here.
+  EXPECT_EQ(r.makespan_cycles, 3375);
+  EXPECT_EQ(r.total_chunks, 53);
+  EXPECT_EQ(r.total_batches, 15);
+  EXPECT_EQ(r.preemptions, 0);
+  EXPECT_EQ(r.total_busy_cycles, 8844);
+  EXPECT_EQ(r.records.num_stage_rows(), 32u);
+  struct NodeNumbers {
+    i64 bytes_drained;
+    i64 transfer_cycles;
+    i64 transfer_cycles_private;
+    i64 contended_dispatches;
+    i64 demand_peak;
+  };
+  const NodeNumbers expected[] = {{71872, 2434, 2246, 18, 2},
+                                  {54592, 1833, 1706, 7, 2}};
+  ASSERT_EQ(r.per_node.size(), 2u);
+  for (std::size_t n = 0; n < 2; ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    const NodeStats& got = r.per_node[n];
+    EXPECT_EQ(got.bytes_drained, expected[n].bytes_drained);
+    EXPECT_EQ(got.transfer_cycles, expected[n].transfer_cycles);
+    EXPECT_EQ(got.transfer_cycles_private, expected[n].transfer_cycles_private);
+    EXPECT_EQ(got.contended_dispatches, expected[n].contended_dispatches);
+    EXPECT_EQ(got.demand_peak, expected[n].demand_peak);
   }
-  ASSERT_EQ(one.records.num_stage_rows(), four.records.num_stage_rows());
-  for (std::size_t i = 0; i < one.records.num_stage_rows(); ++i) {
-    const RecordStore::StageRecord a = one.records.stage_row(i);
-    const RecordStore::StageRecord b = four.records.stage_row(i);
-    EXPECT_EQ(a.id, b.id) << "stage row " << i;
-    EXPECT_EQ(a.stage, b.stage) << "stage row " << i;
-    EXPECT_EQ(a.arrival_cycle, b.arrival_cycle) << "stage row " << i;
-    EXPECT_EQ(a.ready_cycle, b.ready_cycle) << "stage row " << i;
-    EXPECT_EQ(a.dispatch_cycle, b.dispatch_cycle) << "stage row " << i;
-    EXPECT_EQ(a.completion_cycle, b.completion_cycle) << "stage row " << i;
-    EXPECT_EQ(a.service_cycles, b.service_cycles) << "stage row " << i;
-    EXPECT_EQ(a.handoff_cycles, b.handoff_cycles) << "stage row " << i;
-    EXPECT_EQ(a.accelerator, b.accelerator) << "stage row " << i;
-  }
-  ASSERT_EQ(one.per_node.size(), four.per_node.size());
-  for (std::size_t n = 0; n < one.per_node.size(); ++n) {
-    const NodeStats& a = one.per_node[n];
-    const NodeStats& b = four.per_node[n];
-    EXPECT_EQ(a.bytes_drained, b.bytes_drained) << "node " << n;
-    EXPECT_EQ(a.transfer_cycles, b.transfer_cycles) << "node " << n;
-    EXPECT_EQ(a.transfer_cycles_private, b.transfer_cycles_private)
-        << "node " << n;
-    EXPECT_EQ(a.contended_dispatches, b.contended_dispatches) << "node " << n;
-    EXPECT_EQ(a.demand_peak, b.demand_peak) << "node " << n;
-  }
-  ASSERT_EQ(one.per_accelerator.size(), four.per_accelerator.size());
-  for (std::size_t d = 0; d < one.per_accelerator.size(); ++d) {
-    const AcceleratorStats& a = one.per_accelerator[d];
-    const AcceleratorStats& b = four.per_accelerator[d];
-    EXPECT_EQ(a.busy_cycles, b.busy_cycles) << "device " << d;
-    EXPECT_EQ(a.batches, b.batches) << "device " << d;
-    EXPECT_EQ(a.hop_dispatches, b.hop_dispatches) << "device " << d;
-    EXPECT_EQ(a.hop_cycles, b.hop_cycles) << "device " << d;
-  }
-  EXPECT_EQ(one.makespan_cycles, four.makespan_cycles);
-  EXPECT_EQ(one.total_chunks, four.total_chunks);
-  EXPECT_EQ(one.preemptions, four.preemptions);
 }
 
 }  // namespace

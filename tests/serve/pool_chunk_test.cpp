@@ -1,8 +1,8 @@
 // Chunked dispatch (ChunkPolicy): tile-granular preemption mechanics and
 // the chunk-boundary edge cases — 1-tile batches, frozen membership of
 // partially executed batches, weight-cache accounting across chunks of one
-// batch, the deadline-aware run-whole window, and thread-count determinism
-// on the canonical chunked-prefill scenario (TSan runs this suite).
+// batch, the deadline-aware run-whole window, and the canonical
+// chunked-prefill scenario's headline against whole-batch dispatch.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -213,37 +213,17 @@ TEST(ChunkPolicyTest, DeadlineAwareRunsWholeOnlyInTheNoSlackWindow) {
             1);
 }
 
-TEST(ChunkPolicyTest, ChunkedPrefillScenarioDeterministicAcrossThreads) {
-  // The canonical serve/scenarios chunked-prefill trace, 1 vs 8 worker
-  // threads: chunk decisions and weight-cache state mutate only in the
-  // serve loop, so every simulated number is bit-identical.
-  const auto serve_chunked = [](int threads) {
-    PoolConfig cfg = chunked_prefill_pool_config(ChunkPolicy::kDeadlineAware);
-    cfg.num_threads = threads;
-    return serve_queue(cfg, chunked_prefill_trace());
-  };
-  const ServeReport one = serve_chunked(1);
-  const ServeReport eight = serve_chunked(8);
-  EXPECT_EQ(one.makespan_cycles, eight.makespan_cycles);
-  EXPECT_EQ(one.total_chunks, eight.total_chunks);
-  EXPECT_EQ(one.total_batches, eight.total_batches);
-  EXPECT_EQ(one.preemptions, eight.preemptions);
-  EXPECT_EQ(one.slo_attainment(), eight.slo_attainment());
-  ASSERT_EQ(one.records.size(), eight.records.size());
-  for (std::size_t i = 0; i < one.records.size(); ++i) {
-    EXPECT_EQ(one.records[i].dispatch_cycle, eight.records[i].dispatch_cycle);
-    EXPECT_EQ(one.records[i].completion_cycle,
-              eight.records[i].completion_cycle);
-    EXPECT_EQ(one.records[i].accelerator, eight.records[i].accelerator);
-    EXPECT_EQ(one.records[i].batch_chunks, eight.records[i].batch_chunks);
-  }
-  // And the scenario delivers its headline: chunking realizes preemptions
-  // and strictly improves decode SLO attainment over whole-batch dispatch.
-  PoolConfig whole_cfg = chunked_prefill_pool_config(ChunkPolicy::kNone);
-  const ServeReport whole =
-      serve_queue(whole_cfg, chunked_prefill_trace());
-  EXPECT_GT(one.preemptions, 0);
-  EXPECT_GT(one.slo_attainment(), whole.slo_attainment());
+TEST(ChunkPolicyTest, ChunkedPrefillScenarioBeatsWholeDispatch) {
+  // The canonical serve/scenarios chunked-prefill trace: chunking realizes
+  // preemptions and strictly improves decode SLO attainment over
+  // whole-batch dispatch.
+  const ServeReport chunked = serve_queue(
+      chunked_prefill_pool_config(ChunkPolicy::kDeadlineAware),
+      chunked_prefill_trace());
+  const ServeReport whole = serve_queue(
+      chunked_prefill_pool_config(ChunkPolicy::kNone), chunked_prefill_trace());
+  EXPECT_GT(chunked.preemptions, 0);
+  EXPECT_GT(chunked.slo_attainment(), whole.slo_attainment());
 }
 
 }  // namespace

@@ -60,31 +60,6 @@ void expect_same_simulated_results(const ServeReport& a,
   EXPECT_EQ(la.percentile(99), lb.percentile(99));
 }
 
-TEST(AcceleratorPoolTest, SimulatedCyclesDeterministicAcrossThreadCounts) {
-  // The acceptance-criterion test: identical simulated timeline and
-  // percentiles for 1 vs 8 worker threads, same seed.
-  PoolConfig one = base_config();
-  one.num_threads = 1;
-  PoolConfig eight = base_config();
-  eight.num_threads = 8;
-  const auto trace = [] { return make_trace(48, 120.0, 99, tiny_mix()); };
-  const ServeReport a = serve_queue(one, trace());
-  const ServeReport b = serve_queue(eight, trace());
-  expect_same_simulated_results(a, b);
-}
-
-TEST(AcceleratorPoolTest, CycleAccurateModeAlsoDeterministic) {
-  PoolConfig one = base_config();
-  one.exec = ExecMode::kCycleAccurate;
-  one.num_threads = 1;
-  PoolConfig four = one;
-  four.num_threads = 4;
-  const auto trace = [] { return make_trace(16, 200.0, 5, tiny_mix()); };
-  const ServeReport a = serve_queue(one, trace());
-  const ServeReport b = serve_queue(four, trace());
-  expect_same_simulated_results(a, b);
-}
-
 TEST(AcceleratorPoolTest, EveryRequestServedExactlyOnce) {
   PoolConfig cfg = base_config();
   const int n = 40;
@@ -360,32 +335,6 @@ TEST(AcceleratorPoolTest, UrgentOpenGroupBeatsLaxReadyBatch) {
   const ServeReport rep = serve_queue(cfg, std::move(q));
   ASSERT_EQ(rep.records.size(), 5u);
   EXPECT_LT(rep.records[3].dispatch_cycle, rep.records[1].dispatch_cycle);
-}
-
-TEST(AcceleratorPoolTest, SloScenarioDeterministicAcrossThreadCounts) {
-  // The full PR-2 feature stack at once — bursty arrivals, SLO classes,
-  // EDF, continuous admission — still yields a bit-identical simulated
-  // timeline for 1 vs 8 worker threads.
-  const auto trace = [] {
-    BurstyTraceConfig tc;
-    tc.num_requests = 96;
-    tc.burst_interarrival_cycles = 40.0;
-    tc.mean_on_cycles = 2000.0;
-    tc.mean_off_cycles = 5000.0;
-    tc.classes.default_policy = {/*slo=*/4000, /*priority=*/1};
-    tc.classes.per_workload["t_a"] = {/*slo=*/1500, /*priority=*/0};
-    Rng rng(77);
-    return generate_bursty_trace(tiny_mix(), tc, rng);
-  };
-  PoolConfig cfg = base_config();
-  cfg.policy = SchedulePolicy::kEarliestDeadlineFirst;
-  cfg.batching.continuous_admission = true;
-  cfg.num_threads = 1;
-  const ServeReport a = serve_queue(cfg, trace());
-  cfg.num_threads = 8;
-  const ServeReport b = serve_queue(cfg, trace());
-  expect_same_simulated_results(a, b);
-  EXPECT_DOUBLE_EQ(a.slo_attainment(), b.slo_attainment());
 }
 
 TEST(AcceleratorPoolTest, CycleAccurateAgreesWithAccelerator) {

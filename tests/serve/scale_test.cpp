@@ -1,12 +1,10 @@
 // The serve_scale scenario, test-sized: a small variant of the canonical
 // production-trace-size scenario (serve/scenarios serve_scale_*) deep
 // enough to oscillate the ready queue hundreds of batches deep, checked
-// to exercise multi-chunk dispatch and realized preemptions, and diffed
-// record-by-record between 1 and 8 worker threads under TSan in CI (this
-// suite matches the serve_ filter). The ready queue itself is diffed
-// against the seed's linear scans op by op in serve_sched_index_test. Plus
-// the overflow-safe to_fleet_cycles boundary cases the scale regime
-// motivated.
+// to exercise multi-chunk dispatch and realized preemptions. The ready
+// queue itself is diffed against the seed's linear scans op by op in
+// serve_sched_index_test. Plus the overflow-safe to_fleet_cycles boundary
+// cases the scale regime motivated.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -22,53 +20,15 @@ namespace {
 // a sanitizer-instrumented run.
 constexpr int kTestRequests = 3000;
 
-ServeReport serve_scale(int threads) {
-  PoolConfig cfg = serve_scale_pool_config();
-  cfg.num_threads = threads;
-  AcceleratorPool pool(cfg);
+TEST(ServeScaleTest, ScaleScenarioReachesChunksAndPreemptions) {
+  AcceleratorPool pool(serve_scale_pool_config());
   RequestQueue q = serve_scale_trace(kTestRequests);
-  return pool.serve(q);
-}
-
-void expect_identical_records(const ServeReport& a, const ServeReport& b) {
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const RequestRecord& x = a.records[i];
-    const RequestRecord& y = b.records[i];
-    // Per-field first so a divergence names the field...
-    ASSERT_EQ(x.id, y.id);
-    EXPECT_EQ(x.workload, y.workload);
-    EXPECT_EQ(x.gemm, y.gemm);
-    EXPECT_EQ(x.arrival_cycle, y.arrival_cycle);
-    EXPECT_EQ(x.batch_ready_cycle, y.batch_ready_cycle);
-    EXPECT_EQ(x.dispatch_cycle, y.dispatch_cycle);
-    EXPECT_EQ(x.completion_cycle, y.completion_cycle);
-    EXPECT_EQ(x.deadline_cycle, y.deadline_cycle);
-    EXPECT_EQ(x.service_cycles, y.service_cycles);
-    EXPECT_EQ(x.priority, y.priority);
-    EXPECT_EQ(x.batch_size, y.batch_size);
-    EXPECT_EQ(x.batch_chunks, y.batch_chunks);
-    EXPECT_EQ(x.accelerator, y.accelerator);
-    // ...then the all-fields operator== as the completeness backstop (a
-    // field added to RequestRecord but not the list above still diffs).
-    ASSERT_EQ(x, y) << "record " << i;
-  }
-  EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
-  EXPECT_EQ(a.total_batches, b.total_batches);
-  EXPECT_EQ(a.total_chunks, b.total_chunks);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-}
-
-TEST(ServeScaleTest, ThreadCountInvariantOnTheScaleScenario) {
-  // 1 vs 8 worker threads: the simulated timeline is a pure function of
-  // the trace — TSan watches this one in CI.
-  const ServeReport one = serve_scale(1);
-  ASSERT_EQ(one.records.size(), static_cast<std::size_t>(kTestRequests));
+  const ServeReport r = pool.serve(q);
+  ASSERT_EQ(r.records.size(), static_cast<std::size_t>(kTestRequests));
   // The scenario actually exercises the deep-queue machinery: multi-chunk
   // dispatch and realized preemptions.
-  EXPECT_GT(one.total_chunks, one.total_batches);
-  EXPECT_GT(one.preemptions, 0);
-  expect_identical_records(one, serve_scale(8));
+  EXPECT_GT(r.total_chunks, r.total_batches);
+  EXPECT_GT(r.preemptions, 0);
 }
 
 TEST(ToFleetCyclesTest, ExactCeilDivisionAtOrdinaryMagnitudes) {

@@ -26,14 +26,6 @@ TEST(PoolConfigValidateTest, MinimalAndScenarioConfigsPass) {
   }
 }
 
-TEST(PoolConfigValidateTest, RejectsDegenerateThreadCount) {
-  PoolConfig cfg = base_config();
-  cfg.num_threads = 0;
-  EXPECT_THROW(cfg.validate(), CheckError);
-  cfg.num_threads = -4;
-  EXPECT_THROW(cfg.validate(), CheckError);
-}
-
 TEST(PoolConfigValidateTest, RejectsEmptyPool) {
   // The fleet has no default members, so a default config declares no
   // pool at all.
