@@ -139,9 +139,10 @@ int check_near_linear(const std::vector<double>& us_per_req,
 /// with the trace sink and metrics registry attached and the serve-loop
 /// self-profiler on. Small because a trace is ~one JSON object per event —
 /// at 3k requests the timeline is a few MB and loads instantly in the
-/// viewers; the full 200k study would be a gigabyte of JSON nobody can
-/// open. Same config and trace family as serve_trace_test, so the artifact
-/// CI uploads is the exact timeline the determinism test byte-diffs.
+/// viewers; the full 200k study is about 150 MB of JSON, more than they
+/// load comfortably. Same config and trace as serve_trace_test's 3k run,
+/// so the artifact CI uploads is the exact timeline
+/// ServeTraceTest.TraceBytesArePinned pins by size and FNV-1a-64.
 int run_traced(const std::string& trace_path,
                const std::string& metrics_path) {
   constexpr int kTracedRequests = 3000;

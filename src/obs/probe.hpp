@@ -96,15 +96,13 @@ class PoolProbe {
  public:
   virtual ~PoolProbe() = default;
 
-  /// Once per serve(): fleet labels (index = device id in later events),
-  /// workload names (index = the WorkloadId requests carry — probes render
-  /// interned ids through this table), and the trace size.
+  /// Once per serve(): fleet labels (index = device id in later events)
+  /// and workload names (index = the WorkloadId requests carry — probes
+  /// render interned ids through this table).
   virtual void on_serve_begin(const std::vector<std::string>& devices,
-                              const std::vector<std::string>& workloads,
-                              std::size_t num_requests) {
+                              const std::vector<std::string>& workloads) {
     (void)devices;
     (void)workloads;
-    (void)num_requests;
   }
   /// A request entered the system (before batching or joining).
   virtual void on_enqueue(const serve::Request& r, i64 now) {

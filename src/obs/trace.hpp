@@ -35,6 +35,13 @@
 // "b"/"e" pairs are emitted at close time with their open timestamp, so
 // they are exempt by design).
 //
+// Each event is rendered straight into the sink's buffer — literal text as
+// is, integers through std::to_chars — with labels escaped once, at serve
+// begin. The buffer is a list of fixed-size blocks: a new block starts
+// when the current one runs low on headroom, so a growing trace is never
+// re-copied, and write() streams the blocks out one after another.
+// serve_trace_test pins the rendered bytes.
+//
 // The sink also keeps reconciliation totals (per-device span cycles,
 // preemption-instant count) so tests can assert trace-vs-report agreement
 // without parsing JSON.
@@ -56,8 +63,7 @@ class TraceSink : public PoolProbe {
   TraceSink() = default;
 
   void on_serve_begin(const std::vector<std::string>& devices,
-                      const std::vector<std::string>& workloads,
-                      std::size_t num_requests) override;
+                      const std::vector<std::string>& workloads) override;
   void on_enqueue(const serve::Request& r, i64 now) override;
   void on_join(const serve::Batch& b, i64 request_id, i64 now) override;
   void on_batch_formed(const serve::Batch& b, i64 now) override;
@@ -87,13 +93,16 @@ class TraceSink : public PoolProbe {
   [[nodiscard]] std::size_t num_events() const { return num_events_; }
 
  private:
-  /// Appends one pre-rendered event object, managing the separators.
-  void emit(const std::string& event);
+  /// Starts the next event object: opens a block when the current one is
+  /// low on headroom, writes the separator, counts the event, and returns
+  /// the block to render the event into.
+  std::string& begin_event();
   /// First use of a priority-class row names it lazily (classes are not
   /// known up front; event order is deterministic, so so is the naming).
   void ensure_class_track(int priority);
 
   bool started_ = false;
+  /// Device id -> pre-escaped name, for thread rows and cache counters.
   std::vector<std::string> devices_;
   /// WorkloadId -> pre-escaped name, captured at serve begin so enqueue
   /// instants render interned ids as the original workload strings.
@@ -103,7 +112,8 @@ class TraceSink : public PoolProbe {
   /// first request id (its stable identity).
   std::set<i64> open_gaps_;
 
-  std::string events_;  ///< comma-joined event objects
+  /// Comma-joined event objects, in fixed-size blocks (see trace.cpp).
+  std::vector<std::string> blocks_;
   std::size_t num_events_ = 0;
   std::vector<i64> device_span_cycles_;
   i64 preemption_events_ = 0;

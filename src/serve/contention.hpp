@@ -224,7 +224,7 @@ class BandwidthArbiter {
   AdmitInfo admit(std::size_t device, std::size_t slot, i64 now,
                   i64 dram_bytes, i64 fabric_bytes, i64 compute_fleet_cycles,
                   std::vector<Reprice>& repriced);
-  void release(std::size_t slot, i64 now);
+  void release(std::size_t slot);
 
   [[nodiscard]] std::vector<StreamView> active_streams() const;
   [[nodiscard]] const std::vector<NodeLedger>& ledgers() const {

@@ -436,8 +436,7 @@ AcceleratorPool::ServeLoop::ServeLoop(const AcceleratorPool& pool,
   // way there.
   report_.records.reserve(source.size_hint());
   for (obs::PoolProbe* p : probes_) {
-    p->on_serve_begin(device_names, source.registry().names(),
-                      source.size_hint());
+    p->on_serve_begin(device_names, source.registry().names());
   }
 }
 
@@ -891,7 +890,7 @@ void AcceleratorPool::ServeLoop::retire() {
     calendar_.pop();
     Completion& f = slots_[key.slot];
     if (f.version != key.version) continue;  // stale filing
-    if (fabric_.enabled()) arbiter_.release(key.slot, now_);
+    if (fabric_.enabled()) arbiter_.release(key.slot);
     const auto acc = static_cast<std::size_t>(f.accelerator);
     const i64 busy_cycles = f.completion_cycle - f.dispatch_cycle;
     report_.total_busy_cycles += busy_cycles;

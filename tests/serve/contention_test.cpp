@@ -91,7 +91,7 @@ TEST(BandwidthArbiter, SoloStreamKeepsClosedFormPrice) {
 
   arbiter.advance(1000, repriced);
   EXPECT_TRUE(repriced.empty());
-  arbiter.release(/*slot=*/0, /*now=*/1000);
+  arbiter.release(/*slot=*/0);
   EXPECT_EQ(arbiter.node_active(0), 0);
 
   const BandwidthArbiter::NodeLedger& ledger = arbiter.ledgers()[0];
@@ -100,6 +100,54 @@ TEST(BandwidthArbiter, SoloStreamKeepsClosedFormPrice) {
   EXPECT_EQ(ledger.transfer_cycles_private, 1000);
   EXPECT_EQ(ledger.contended_dispatches, 0);
   EXPECT_EQ(ledger.demand_peak, 1);
+}
+
+TEST(BandwidthArbiter, ClosedFormStreamsAreLedgeredAtAdmit) {
+  // Three streams with nothing to arbitrate, one per node: an unlimited
+  // node (budget 0), an infinite private channel (solo bandwidth 0) on a
+  // budgeted node, and zero DRAM bytes on a budgeted node. Each keeps its
+  // closed-form price, never joins its node's active set, and is ledgered
+  // in full at admit.
+  NodeTopology topo;
+  topo.device_node = {0, 1, 2};
+  topo.node_bw_bytes_per_cycle = {0, 80, 80};
+  const FabricModel fabric(
+      topo, {{2 * kRefClockMhz, 64}, {kRefClockMhz, 0}, {kRefClockMhz, 64}});
+  ASSERT_EQ(fabric.solo_bw(1), 0);
+  BandwidthArbiter arbiter(&fabric);
+  std::vector<BandwidthArbiter::Reprice> repriced;
+
+  struct Case {
+    const char* trigger;
+    std::size_t device;
+    i64 dram_bytes;
+    i64 completion;       // max(now + compute, now + transfer leg)
+    i64 transfer_cycles;  // closed-form leg, fleet cycles
+  };
+  const Case cases[] = {
+      // ceil(64000 / 64) = 1000 device cycles at 2000 MHz: 500 fleet.
+      {"unlimited node", 0, 64000, 300 + 500, 500},
+      {"infinite private channel", 1, 64000, 300 + 100, 0},
+      {"zero DRAM bytes", 2, 0, 300 + 100, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.trigger);
+    const auto info = arbiter.admit(c.device, /*slot=*/c.device, /*now=*/300,
+                                    c.dram_bytes, /*fabric_bytes=*/0,
+                                    /*compute_fleet_cycles=*/100, repriced);
+    EXPECT_EQ(info.completion_cycle, c.completion);
+    EXPECT_FALSE(info.contended);
+    const int node = static_cast<int>(c.device);
+    EXPECT_EQ(arbiter.node_active(node), 0);
+    const BandwidthArbiter::NodeLedger& ledger = arbiter.ledgers()[c.device];
+    EXPECT_EQ(ledger.bytes_drained, c.dram_bytes);
+    EXPECT_EQ(ledger.transfer_cycles, c.transfer_cycles);
+    EXPECT_EQ(ledger.transfer_cycles_private, c.transfer_cycles);
+    EXPECT_EQ(ledger.demand_peak, 1);
+  }
+  EXPECT_TRUE(repriced.empty());
+  EXPECT_EQ(arbiter.next_event(), -1);
+  for (std::size_t slot = 0; slot < 3; ++slot) arbiter.release(slot);
 }
 
 TEST(BandwidthArbiter, SecondStreamRepricesTheFirst) {
@@ -142,12 +190,12 @@ TEST(BandwidthArbiter, SecondStreamRepricesTheFirst) {
   EXPECT_EQ(repriced[0].completion_cycle, 1800);
   EXPECT_EQ(arbiter.next_event(), -1);  // one survivor: no rate changes left
   expect_conserved(arbiter, fabric);
-  arbiter.release(0, 1300);
+  arbiter.release(0);
 
   repriced.clear();
   arbiter.advance(1800, repriced);
   EXPECT_TRUE(repriced.empty());
-  arbiter.release(1, 1800);
+  arbiter.release(1);
 
   // Realized transfer legs: A 0..1300, B 500..1800 — both 1.3x their
   // private 1000-cycle leg.
@@ -198,7 +246,7 @@ TEST(BandwidthArbiter, ConservationHoldsThroughStaggeredStreams) {
   // Far enough that every solo tail has drained.
   arbiter.advance(now + 100000, repriced);
   EXPECT_TRUE(arbiter.active_streams().empty());
-  for (std::size_t s = 0; s < 4; ++s) arbiter.release(s, now + 100000);
+  for (std::size_t s = 0; s < 4; ++s) arbiter.release(s);
   drained = 0;
   for (const BandwidthArbiter::NodeLedger& ledger : arbiter.ledgers()) {
     drained += ledger.bytes_drained;
@@ -230,7 +278,7 @@ TEST(BandwidthArbiter, LedgerBooksTheFiledLegWhateverTheWakeCycle) {
     if (wake_at_81) arbiter.advance(81, repriced);
     arbiter.advance(82, repriced);
     EXPECT_TRUE(repriced.empty());
-    arbiter.release(/*slot=*/0, /*now=*/82);
+    arbiter.release(/*slot=*/0);
     EXPECT_EQ(arbiter.ledgers()[0].bytes_drained, 6200);
     EXPECT_EQ(arbiter.ledgers()[0].transfer_cycles, 82);
   }

@@ -4,9 +4,14 @@
 // per-device busy cycles and preemption instants count the report's
 // preemptions; (2) probes are passive (attaching one changes no record);
 // (3) the latency breakdown identity the trace visualizes holds exactly
-// on every record.
+// on every record; (4) the rendered bytes of three runs that together
+// carry every event kind are pinned by size and FNV-1a-64, and device
+// labels render escaped at any length.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,6 +46,26 @@ TracedRun run_traced() {
   out.preemption_events = sink.preemption_events();
   out.num_events = sink.num_events();
   return out;
+}
+
+/// FNV-1a, 64-bit: a fingerprint of the rendered bytes.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A registered scenario's trace JSON, with the sink alone attached.
+std::string scenario_json(const std::string& name) {
+  const ScenarioSpec& spec = scenario(name);
+  AcceleratorPool pool(spec.config);
+  obs::TraceSink sink;
+  pool.add_probe(&sink);
+  const std::unique_ptr<TraceSource> source = spec.make_trace();
+  pool.serve(*source);
+  return sink.to_json();
 }
 
 TEST(ServeTraceTest, SpansReconcileWithTheReport) {
@@ -90,6 +115,57 @@ TEST(ServeTraceTest, MultiStageRunsAnnotateSuccessorStageSpans) {
   const ServeReport r = pool.serve(q);
   EXPECT_GT(r.records.num_stage_rows(), 0u);
   EXPECT_NE(sink.to_json().find(",\"stage\":1,"), std::string::npos);
+}
+
+TEST(ServeTraceTest, TraceBytesArePinned) {
+  // The trace is a pure function of the config and the trace source, so
+  // its bytes are a contract: a renderer change must reproduce them
+  // exactly. The three runs together carry every event kind — exec spans,
+  // gap and form pairs, preempt, contend, node<i>:dram, stage, join, SLO
+  // miss, counters and metadata. bench_serve_scale --trace writes the
+  // first one as CI's trace artifact.
+  struct Pinned {
+    const char* run;
+    std::string json;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  const Pinned pinned[] = {
+      {"serve_scale 3k", run_traced().json, 2160468, 0xa9fd337b315c23c8ULL},
+      {"fleet_contention_aware", scenario_json("fleet_contention_aware"),
+       654191, 0x993f9bd55dd25252ULL},
+      {"disagg_prefill_decode_split",
+       scenario_json("disagg_prefill_decode_split"), 480467,
+       0xbe1ed6149710e55fULL},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(p.run);
+    EXPECT_EQ(p.json.size(), p.bytes);
+    EXPECT_EQ(fnv1a64(p.json), p.fnv)
+        << "fnv1a64 0x" << std::hex << fnv1a64(p.json);
+  }
+}
+
+TEST(ServeTraceTest, DeviceLabelsRenderEscapedAtAnyLength) {
+  // A device label is escaped once, at serve begin, and reaches both its
+  // thread-name row and every cache counter of the device; a label longer
+  // than a block's headroom still renders whole.
+  PoolConfig cfg = serve_scale_pool_config();
+  const std::string tail(2048, 'x');
+  cfg.fleet[0].name = "dev \"q\"\t\\ " + tail;
+  AcceleratorPool pool(cfg);
+  obs::TraceSink sink;
+  pool.add_probe(&sink);
+  RequestQueue q = serve_scale_trace(300);
+  pool.serve(q);
+  const std::string json = sink.to_json();
+  const std::string escaped = "dev \\\"q\\\" \\\\ " + tail;
+  EXPECT_NE(json.find("\"thread_name\",\"args\":{\"name\":\"" + escaped +
+                      "\"}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"wcache:" + escaped + "\",\"args\""),
+            std::string::npos);
+  EXPECT_EQ(json.find(cfg.fleet[0].name), std::string::npos);
 }
 
 TEST(ServeTraceTest, LatencyBreakdownSumsExactlyPerRecord) {
