@@ -45,7 +45,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -170,12 +169,10 @@ int run_traced(const std::string& trace_path,
               << " events; load in chrome://tracing or ui.perfetto.dev)\n";
   }
   if (!metrics_path.empty()) {
-    std::ofstream os(metrics_path);
-    if (!os) {
+    if (!registry.write_file(metrics_path)) {
       std::cerr << "cannot write " << metrics_path << "\n";
       return 1;
     }
-    registry.write_json(os);
     std::cout << (trace_path.empty() ? "\n" : "") << "wrote " << metrics_path
               << "\n";
   }

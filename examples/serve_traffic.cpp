@@ -19,7 +19,6 @@
 // https://ui.perfetto.dev — see README "Tracing a serve run"); with
 // --metrics-json PATH it dumps the obs/metrics registry snapshot. Both are
 // passive observers: the simulated cycles are identical with and without.
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -492,12 +491,10 @@ int main(int argc, char** argv) {
               << " events; load in chrome://tracing or ui.perfetto.dev)\n";
   }
   if (!metrics_path.empty()) {
-    std::ofstream os(metrics_path);
-    if (!os) {
+    if (!registry.write_file(metrics_path)) {
       std::cerr << "cannot write " << metrics_path << "\n";
       return 1;
     }
-    registry.write_json(os);
     std::cout << (trace_path.empty() ? "\n" : "") << "wrote " << metrics_path
               << "\n";
   }

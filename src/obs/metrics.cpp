@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -117,6 +118,16 @@ std::string MetricsRegistry::to_json() const {
   return os.str();
 }
 
+bool MetricsRegistry::write_file(const std::string& path) const {
+  std::ofstream out(path);
+  if (!out) return false;
+  write_json(out);
+  // The stream buffers; the write that fails (a full disk) may be the
+  // final flush, so the state is read only after close().
+  out.close();
+  return !out.fail();
+}
+
 MetricsProbe::MetricsProbe(MetricsRegistry* registry)
     : registry_(registry),
       contended_dispatches_(
@@ -144,9 +155,10 @@ MetricsProbe::MetricsProbe(MetricsRegistry* registry)
       preempt_blocked_(registry->histogram("serve.preempt_blocked_cycles")) {}
 
 void MetricsProbe::on_enqueue(const serve::Request& r, i64 now) {
-  (void)r;
   (void)now;
-  requests_.add();
+  // A chained request re-enters admission once per successor stage; it is
+  // one request, counted at its stage-0 admission.
+  if (r.stage == 0) requests_.add();
 }
 
 void MetricsProbe::on_join(const serve::Batch& b, i64 request_id, i64 now) {
@@ -192,7 +204,7 @@ void MetricsProbe::on_request_done(const serve::RequestRecord& rec) {
   latency_.observe(rec.latency_cycles());
   batch_wait_.observe(rec.batch_wait_cycles());
   queue_wait_.observe(rec.queue_wait_cycles());
-  service_.observe(rec.service_cycles);
+  service_.observe(rec.total_service_cycles());
   preempt_blocked_.observe(rec.preempt_blocked_cycles());
 }
 

@@ -98,6 +98,9 @@ class MetricsRegistry {
   /// values integers. A disabled registry writes exactly "{}".
   void write_json(std::ostream& os) const;
   [[nodiscard]] std::string to_json() const;
+  /// Writes the snapshot to `path`; returns false when the file cannot be
+  /// opened, written or closed.
+  bool write_file(const std::string& path) const;
 
  private:
   void claim_name(const std::string& name, const char* kind);
@@ -114,9 +117,11 @@ class MetricsRegistry {
 /// The standard serve-loop instrumentation: a PoolProbe that folds pool
 /// events into a registry under the "serve." prefix — request/join/batch/
 /// chunk/preemption/requeue/deadline-miss counts, queue-depth and cache
-/// peaks, and the per-request latency-breakdown histograms. Attach with
-/// AcceleratorPool::add_probe; everything fires from the serve loop in
-/// event order, so registry state is deterministic.
+/// peaks, and the per-request latency-breakdown histograms. A chained
+/// (multi-stage) request counts once, and its breakdown samples are the
+/// sums over its stages, so they add up to its latency with its handoff
+/// cycles. Attach with AcceleratorPool::add_probe; everything fires from
+/// the serve loop in event order, so registry state is deterministic.
 class MetricsProbe : public PoolProbe {
  public:
   explicit MetricsProbe(MetricsRegistry* registry);

@@ -79,7 +79,7 @@ class TraceSink : public PoolProbe {
   [[nodiscard]] std::string to_json() const;
   void write(std::ostream& os) const;
   /// Writes to_json() to `path`; returns false when the file cannot be
-  /// opened or written.
+  /// opened, written or closed.
   bool write_file(const std::string& path) const;
 
   // Reconciliation totals (see header comment).

@@ -39,6 +39,13 @@ class Matrix {
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
 
+  /// The rn x cn block whose top-left entry is (r0, c0); a block that does
+  /// not lie inside the matrix is a CheckError.
+  [[nodiscard]] Matrix block(i64 r0, i64 rn, i64 c0, i64 cn) const;
+
+  /// The cols() x rows() transpose.
+  [[nodiscard]] Matrix transposed() const;
+
   /// Number of exactly-zero entries (used by the sparsity experiments).
   [[nodiscard]] i64 count_zeros() const;
 
