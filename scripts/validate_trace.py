@@ -29,8 +29,21 @@ later in somebody's chrome://tracing tab. Checks:
      calendar re-fired a stale entry — exactly the bug its versioned keys
      exist to prevent.
 
+With --metrics it validates an obs/metrics MetricsRegistry snapshot (the
+--metrics-json file CI and check.sh write next to the trace) instead:
+
+  1. The file parses as a JSON object holding exactly the "counters",
+     "gauges" and "histograms" objects.
+  2. Every counter and gauge value, and every histogram field, is an
+     integer (the snapshot's determinism contract).
+  3. Each histogram has exactly count/min/max/sum/p50/p90/p99, with
+     min <= p50 <= p90 <= p99 <= max.
+  4. When both exist, serve.latency_cycles.count equals serve.requests:
+     one latency sample per served request.
+
 Usage:
   scripts/validate_trace.py TRACE.json
+  scripts/validate_trace.py --metrics METRICS.json
   scripts/validate_trace.py --self-test
 
 Exit status: 0 = valid, 1 = invalid, 2 = usage error.
@@ -144,13 +157,71 @@ def validate_doc(doc, path):
     return 0
 
 
-def validate(path):
+METRIC_KINDS = ("counters", "gauges", "histograms")
+HISTOGRAM_FIELDS = ("count", "min", "max", "sum", "p50", "p90", "p99")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def validate_metrics_doc(doc, path):
+    if not isinstance(doc, dict) or sorted(doc) != sorted(METRIC_KINDS):
+        keys = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+        return fail(
+            f"{path} must hold exactly the {', '.join(METRIC_KINDS)} "
+            f"objects, got {keys}"
+        )
+    for kind in METRIC_KINDS:
+        if not isinstance(doc[kind], dict):
+            return fail(f"{path}: '{kind}' is not an object")
+    for kind in ("counters", "gauges"):
+        for name, value in doc[kind].items():
+            if not _is_int(value):
+                return fail(
+                    f"{kind[:-1]} '{name}' is {value!r} — snapshot values "
+                    "must be integers"
+                )
+    histograms = doc["histograms"]
+    for name, h in histograms.items():
+        if not isinstance(h, dict) or sorted(h) != sorted(HISTOGRAM_FIELDS):
+            return fail(
+                f"histogram '{name}' must have exactly "
+                f"{'/'.join(HISTOGRAM_FIELDS)}"
+            )
+        for field in HISTOGRAM_FIELDS:
+            if not _is_int(h[field]):
+                return fail(
+                    f"histogram '{name}' {field} is {h[field]!r} — snapshot "
+                    "values must be integers"
+                )
+        if not h["min"] <= h["p50"] <= h["p90"] <= h["p99"] <= h["max"]:
+            return fail(
+                f"histogram '{name}' breaks min <= p50 <= p90 <= p99 <= max"
+            )
+    requests = doc["counters"].get("serve.requests")
+    latency = histograms.get("serve.latency_cycles")
+    if (requests is not None and latency is not None
+            and latency["count"] != requests):
+        return fail(
+            f"serve.latency_cycles.count {latency['count']} != "
+            f"serve.requests {requests} — one latency sample per request"
+        )
+    print(
+        f"validate_trace: OK: metrics snapshot with "
+        f"{len(doc['counters'])} counters, {len(doc['gauges'])} gauges, "
+        f"{len(histograms)} histograms"
+    )
+    return 0
+
+
+def validate(path, validator=validate_doc):
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         return fail(f"cannot load {path}: {e}")
-    return validate_doc(doc, path)
+    return validator(doc, path)
 
 
 # ---- self-test ----------------------------------------------------------
@@ -182,10 +253,21 @@ def _contend(ts=0):
             "args": {"node": 0, "demand": 2, "hop_cycles": 0}}
 
 
+def _metrics(counters=None, histograms=None):
+    latency = {"count": 2, "min": 5, "max": 9, "sum": 14, "p50": 5,
+               "p90": 9, "p99": 9}
+    return {
+        "counters": {"serve.requests": 2} if counters is None else counters,
+        "gauges": {"serve.makespan_cycles": 9},
+        "histograms": ({"serve.latency_cycles": latency}
+                       if histograms is None else histograms),
+    }
+
+
 def self_test():
     """Unit-style checks of the validator itself (CI's format job runs
-    this): good traces pass, and each hardening check fires on the
-    malformed shape it exists for."""
+    this): good traces and snapshots pass, and each hardening check fires
+    on the malformed shape it exists for."""
     import contextlib
     import io
 
@@ -220,12 +302,28 @@ def self_test():
                _counter("node0:dram", ts=0, streams=2, inflight_bytes=64)]),
          0, None),
     ]
+    cases = [(label, validate_doc, doc, code, msg)
+             for label, doc, code, msg in cases]
+    unordered = {"count": 2, "min": 5, "max": 9, "sum": 14, "p50": 9,
+                 "p90": 5, "p99": 9}
+    cases += [
+        ("minimal valid snapshot passes", validate_metrics_doc,
+         _metrics(), 0, None),
+        ("non-integer value fails", validate_metrics_doc,
+         _metrics(counters={"serve.requests": 2.5}), 1, "integers"),
+        ("missing kind fails", validate_metrics_doc,
+         {"counters": {}, "gauges": {}}, 1, "exactly"),
+        ("latency count mismatch fails", validate_metrics_doc,
+         _metrics(counters={"serve.requests": 3}), 1, "one latency sample"),
+        ("unordered percentiles fail", validate_metrics_doc,
+         _metrics(histograms={"h": unordered}), 1, "p50 <= p90"),
+    ]
     ok = True
-    for label, doc, expect_exit, expect_msg in cases:
+    for label, validator, doc, expect_exit, expect_msg in cases:
         out = io.StringIO()
         err = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = validate_doc(doc, "<self-test>")
+            code = validator(doc, "<self-test>")
         problems = []
         if code != expect_exit:
             problems.append(f"exit {code}, expected {expect_exit}")
@@ -241,9 +339,11 @@ def self_test():
 def main():
     if len(sys.argv) == 2 and sys.argv[1] == "--self-test":
         return self_test()
-    if len(sys.argv) != 2:
-        print("usage: validate_trace.py TRACE.json | --self-test",
-              file=sys.stderr)
+    if len(sys.argv) == 3 and sys.argv[1] == "--metrics":
+        return validate(sys.argv[2], validate_metrics_doc)
+    if len(sys.argv) != 2 or sys.argv[1].startswith("--"):
+        print("usage: validate_trace.py TRACE.json | --metrics METRICS.json"
+              " | --self-test", file=sys.stderr)
         return 2
     return validate(sys.argv[1])
 

@@ -107,17 +107,18 @@ i64 gemm_transfer_cycles(const GemmShape& g, i64 dram_bytes_per_cycle,
 /// there, the honest preemption-granularity price).
 i64 m_tile_extent(Dataflow df, const ArrayShape& array);
 
-/// Splits `merged.M` into chunk extents of at most `tiles_per_chunk`
-/// M-tiles each (`tiles_per_chunk <= 0` means "one chunk, do not split").
-/// Every extent except possibly the last is tile-aligned, so for OS/WS the
-/// summed compute cycles of the chunks equal the unchunked batch exactly —
-/// the only chunking overhead is the memory side: each chunk is its own
-/// dispatch and re-streams the K*N weights unless they are resident in the
-/// device's weight cache by then (serve/weight_cache decides that per
-/// dispatch). A chunk's cost is batched_gemm_cycles on the sliced shape
-/// {extent, K, N} with that dispatch's own weights_resident verdict.
-std::vector<i64> chunk_m_extents(const GemmShape& merged, Dataflow df,
-                                 const ArrayShape& array, i64 tiles_per_chunk);
+/// Rows of the next chunk when `remaining_m` rows are left: all of them if
+/// they fit in `tiles_per_chunk` M-tiles (`<= 0` means "do not split"),
+/// else exactly `tiles_per_chunk` tiles. Every chunk but the last is thus
+/// tile-aligned, so for OS/WS the summed compute cycles of the chunks
+/// equal the unchunked batch exactly — the only chunking overhead is the
+/// memory side: each chunk is its own dispatch and re-streams the K*N
+/// weights unless they are resident in the device's weight cache by then
+/// (serve/weight_cache decides that per dispatch). A chunk's cost is
+/// batched_gemm_cycles on the sliced shape {extent, K, N} with that
+/// dispatch's own weights_resident verdict.
+i64 next_chunk_m(i64 remaining_m, Dataflow df, const ArrayShape& array,
+                 i64 tiles_per_chunk);
 
 /// Design-space search: among all power-of-two R x C shapes with
 /// R * C <= pe_budget, the shape minimizing the best-dataflow scale-up

@@ -296,6 +296,25 @@ TEST(AcceleratorPoolTest, InvalidGemmIsRejectedEvenWhereItCouldJoin) {
   }
 }
 
+TEST(AcceleratorPoolTest, DecreasingIdsFailAtAdmission) {
+  // Records stay in admission order, so a source whose ids do not increase
+  // breaks the TraceSource contract; admission rejects it, naming both
+  // ids, instead of filing an out-of-order report.
+  RequestQueue q;
+  q.push(make_req(q, 1, {8, 8, 8}, 0));
+  q.push(make_req(q, 0, {8, 8, 8}, 0));
+  AcceleratorPool pool(base_config(1));
+  try {
+    (void)pool.serve(q);
+    ADD_FAILURE() << "serve() admitted request 0 after request 1";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("request 0 admitted after request 1"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(AcceleratorPoolTest, EagerCloseOfOpenGroupsHonoursPriority) {
   // Continuous admission with one accelerator occupied: two open groups
   // wait, the older one class 1, the newer one class 0. When the

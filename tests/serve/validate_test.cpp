@@ -92,6 +92,46 @@ TEST(PoolConfigValidateTest, RejectsTopologyFleetSizeMismatch) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(PoolConfigValidateTest, RejectsInvalidTopologies) {
+  // Two members on two nodes, one hop apart: legal. Each case breaks one
+  // field, and validate() — not only the pool constructor — rejects it.
+  PoolConfig valid = base_config();
+  valid.topology.device_node = {0, 1};
+  valid.topology.node_bw_bytes_per_cycle = {64, 64};
+  valid.topology.hops = {{0, 1}, {1, 0}};
+  valid.topology.hop_latency_cycles = 10;
+  EXPECT_NO_THROW(valid.validate());
+
+  struct Case {
+    const char* fault;
+    void (*apply)(PoolConfig&);
+  };
+  const Case cases[] = {
+      {"ingress node out of range",
+       [](PoolConfig& c) { c.topology.ingress_node = 2; }},
+      {"non-square hop matrix",
+       [](PoolConfig& c) { c.topology.hops = {{0, 1}, {1}}; }},
+      {"negative hop count",
+       [](PoolConfig& c) { c.topology.hops = {{0, -1}, {1, 0}}; }},
+      {"negative node id",
+       [](PoolConfig& c) { c.topology.device_node = {-1, 1}; }},
+      {"node budget list shorter than the node count",
+       [](PoolConfig& c) { c.topology.node_bw_bytes_per_cycle = {64}; }},
+      {"negative hop latency",
+       [](PoolConfig& c) { c.topology.hop_latency_cycles = -1; }},
+      {"node budget flooring to 0 bytes per device cycle",
+       [](PoolConfig& c) {
+         c.fleet[1].clock_mhz = 2 * kRefClockMhz;
+         c.topology.node_bw_bytes_per_cycle = {64, 1};
+       }},
+  };
+  for (const Case& c : cases) {
+    PoolConfig cfg = valid;
+    c.apply(cfg);
+    EXPECT_THROW(cfg.validate(), CheckError) << c.fault;
+  }
+}
+
 TEST(PoolConfigValidateTest, RejectsStageAffinityOnAnUntypedFleet) {
   // All-general fleets — the minimal one and a scenario's — fail: the knob
   // would silently do nothing.
