@@ -24,10 +24,11 @@
 //                                (e.g. 10000000 for a ten-million-request
 //                                sweep); smoke sweeps N/8..N/2
 //   --max-rss-mb N               fail (exit 1) if the process peak RSS
-//                                exceeds N MB after the sweep — CI's
-//                                memory-ceiling gate for the streaming
-//                                request pipeline (getrusage, so it works
-//                                on runners without /usr/bin/time)
+//                                exceeds N MB after the sweep or the
+//                                traced run — CI's memory-ceiling gate for
+//                                the streaming request pipeline
+//                                (getrusage, so it works on runners
+//                                without /usr/bin/time)
 //   --trace PATH                 instead of the study, run a small (3k
 //                                request) variant of the scenario with a
 //                                Chrome-trace TraceSink attached and the
@@ -136,11 +137,13 @@ int check_near_linear(const std::vector<double>& us_per_req,
 
 /// Observability mode: a small (3k request) variant of the scale scenario
 /// with the trace sink and metrics registry attached and the serve-loop
-/// self-profiler on. Small because a trace is ~one JSON object per event —
-/// at 3k requests the timeline is a few MB and loads instantly in the
-/// viewers; the full 200k study is about 150 MB of JSON, more than they
-/// load comfortably. Same config and trace as serve_trace_test's 3k run,
-/// so the artifact CI uploads is the exact timeline
+/// self-profiler on. While the serve runs the sink keeps one 72 B record
+/// per probe hook call; write_file() renders the JSON from them through a
+/// 64 KiB buffer. Small because the rendered trace is ~one JSON object per
+/// event — at 3k requests the timeline is a few MB and loads instantly in
+/// the viewers; the full 200k study is about 150 MB of JSON, more than
+/// they load comfortably. Same config and trace as serve_trace_test's 3k
+/// run, so the artifact CI uploads is the exact timeline
 /// ServeTraceTest.TraceBytesArePinned pins by size and FNV-1a-64.
 int run_traced(const std::string& trace_path,
                const std::string& metrics_path) {
@@ -179,14 +182,14 @@ int run_traced(const std::string& trace_path,
   return 0;
 }
 
-/// Enforces the committed memory ceiling after the sweep; 0 disables.
+/// Enforces the committed memory ceiling after the sweep or the traced
+/// run; 0 disables.
 int check_rss_ceiling(double max_rss_mb) {
   if (max_rss_mb <= 0.0) return 0;
   const double rss = peak_rss_mb();
   if (rss > max_rss_mb) {
     std::cerr << "FAIL: peak RSS " << fmt_double(rss, 1) << " MB exceeds the "
-              << fmt_double(max_rss_mb, 1) << " MB ceiling — the streaming "
-              << "pipeline regressed to materializing per-request state\n";
+              << fmt_double(max_rss_mb, 1) << " MB ceiling\n";
     return 1;
   }
   std::cout << "peak RSS " << fmt_double(rss, 1) << " MB (ceiling "
@@ -225,7 +228,9 @@ int main(int argc, char** argv) {
     }
   }
   if (!trace_path.empty() || !metrics_path.empty()) {
-    return run_traced(trace_path, metrics_path);
+    const int rc = run_traced(trace_path, metrics_path);
+    if (rc != 0) return rc;
+    return check_rss_ceiling(max_rss_mb);
   }
 
   if (smoke) {

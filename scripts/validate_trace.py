@@ -28,6 +28,11 @@ later in somebody's chrome://tracing tab. Checks:
      chunk ordinal): the same chunk retiring twice means the completion
      calendar re-fired a stale entry — exactly the bug its versioned keys
      exist to prevent.
+  7. Async spans pair up in event order: every "b" is closed by exactly
+     one later "e" with the same (cat, id), no "e" arrives without an
+     open "b", no "b" re-opens a span that is still open, and no span is
+     left open at the end. A lost or doubled preemption-gap close breaks
+     this (the sink decides gap opens and closes at hook time).
 
 With --metrics it validates an obs/metrics MetricsRegistry snapshot (the
 --metrics-json file CI and check.sh write next to the trace) instead:
@@ -69,6 +74,8 @@ def validate_doc(doc, path):
     counter_series = set()
     contend_instants = 0
     seen_complete_ids = set()
+    open_async = set()  # (cat, id) of async spans opened, not yet closed
+    async_pairs = 0
     for i, e in enumerate(events):
         if not isinstance(e, dict):
             return fail(f"event {i} is not an object")
@@ -119,6 +126,23 @@ def validate_doc(doc, path):
                         f"'{key}' is {value!r} — counter samples must be "
                         "non-negative integers"
                     )
+        if ph in ("b", "e"):
+            span = (e.get("cat"), e.get("id"))
+            if ph == "b":
+                if span in open_async:
+                    return fail(
+                        f"event {i} ('b') re-opens async span cat={span[0]} "
+                        f"id={span[1]} before its 'e'"
+                    )
+                open_async.add(span)
+            else:
+                if span not in open_async:
+                    return fail(
+                        f"event {i} ('e') closes async span cat={span[0]} "
+                        f"id={span[1]}, which is not open"
+                    )
+                open_async.remove(span)
+                async_pairs += 1
         if ph == "i" and e.get("cat") == "contend":
             contend_instants += 1
         if ph in ("X", "C"):
@@ -131,6 +155,13 @@ def validate_doc(doc, path):
                     "per-track timestamps must be monotone"
                 )
             last_ts[track] = ts
+
+    if open_async:
+        cat, span_id = sorted(open_async, key=repr)[0]
+        return fail(
+            f"{len(open_async)} async span(s) never closed, e.g. cat={cat} "
+            f"id={span_id}"
+        )
 
     node_series = sorted(
         n for n in counter_series
@@ -152,7 +183,7 @@ def validate_doc(doc, path):
         )
     print(
         f"validate_trace: OK: {len(events)} events on {len(last_ts)} "
-        f"monotone tracks ({summary}){extra}"
+        f"monotone tracks ({summary}), {async_pairs} async pairs{extra}"
     )
     return 0
 
@@ -247,6 +278,11 @@ def _counter(name="sched", ts=0, **args):
             "args": args or {"ready": 0}}
 
 
+def _async(ph, ts=0, cat="gap", span_id=1):
+    return {"ph": ph, "pid": 1, "tid": 0, "ts": ts, "cat": cat,
+            "id": span_id, "name": f"{cat} b{span_id}"}
+
+
 def _contend(ts=0):
     return {"ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": ts,
             "cat": "contend", "name": "contend n0",
@@ -301,6 +337,17 @@ def self_test():
          _doc([_contend(),
                _counter("node0:dram", ts=0, streams=2, inflight_bytes=64)]),
          0, None),
+        ("paired async spans pass, an id re-used after its close too",
+         _doc([_async("b", ts=5), _async("b", ts=0, cat="form"),
+               _async("e", ts=3, cat="form"), _async("e", ts=9),
+               _async("b", ts=12), _async("e", ts=20)]), 0, None),
+        ("unclosed async span fails",
+         _doc([_async("b", ts=5)]), 1, "never closed"),
+        ("stray async close fails",
+         _doc([_async("e", ts=5)]), 1, "not open"),
+        ("re-opened async span fails",
+         _doc([_async("b", ts=5), _async("b", ts=8), _async("e", ts=9)]), 1,
+         "re-opens"),
     ]
     cases = [(label, validate_doc, doc, code, msg)
              for label, doc, code, msg in cases]

@@ -1,8 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <charconv>
+#include <cstring>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
@@ -20,12 +20,14 @@ constexpr int kSchedPid = 1;
 constexpr int kClassesPid = 2;
 constexpr int kCountersPid = 3;
 
-// Events are appended into blocks of kBlockBytes. A new block starts when
-// the current one has less than kBlockHeadroom left, which is more than an
-// event renders to unless a device or workload label alone nears 1 KiB, so
-// a block does not reallocate (with such a label it grows, still correct).
-constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
-constexpr std::size_t kBlockHeadroom = std::size_t{1} << 10;
+// Records are appended into chunks of kChunkRecords (about 1.2 MB). A new
+// chunk starts when the last one is full, so no record ever moves: a
+// single growing vector would hold its old and new arrays at once each
+// time it doubled.
+constexpr std::size_t kChunkRecords = std::size_t{1} << 14;
+// write() renders into a buffer of kWriteBytes and hands it to the stream
+// whenever the next piece would not fit.
+constexpr std::size_t kWriteBytes = std::size_t{1} << 16;
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -43,39 +45,53 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Renders into an event in place: text as is, integers through
-/// std::to_chars, which prints the digits ostream prints in the C locale.
-class Append {
+/// Renders into a fixed buffer that it hands to the stream whenever the
+/// next piece would not fit: text as is (a piece longer than the whole
+/// buffer goes to the stream directly), integers through std::to_chars,
+/// which prints the digits ostream prints in the C locale.
+class Writer {
  public:
-  explicit Append(std::string& out) : out_(out) {}
+  explicit Writer(std::ostream& os) : os_(os), buf_(kWriteBytes) {}
 
-  Append& operator<<(std::string_view text) {
-    out_.append(text);
+  Writer& operator<<(std::string_view text) {
+    if (text.size() > buf_.size() - used_) {
+      flush();
+      if (text.size() > buf_.size()) {
+        os_.write(text.data(), static_cast<std::streamsize>(text.size()));
+        return *this;
+      }
+    }
+    std::memcpy(buf_.data() + used_, text.data(), text.size());
+    used_ += text.size();
     return *this;
   }
 
   template <typename Int, typename = std::enable_if_t<std::is_integral_v<Int>>>
-  Append& operator<<(Int value) {
+  Writer& operator<<(Int value) {
     static_assert(!std::is_same_v<Int, bool> && !std::is_same_v<Int, char>,
                   "render flags and characters as text");
-    char digits[24];
-    const char* end = std::to_chars(digits, std::end(digits), value).ptr;
-    out_.append(digits, static_cast<std::size_t>(end - digits));
+    if (buf_.size() - used_ < kMaxDigits) flush();
+    char* const begin = buf_.data() + used_;
+    char* const end =
+        std::to_chars(begin, buf_.data() + buf_.size(), value).ptr;
+    used_ += static_cast<std::size_t>(end - begin);
     return *this;
   }
 
- private:
-  std::string& out_;
-};
+  /// Hands the buffered bytes to the stream.
+  void flush() {
+    os_.write(buf_.data(), static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
 
-/// A metadata event naming a process or thread row; `name` is escaped.
-void metadata(std::string& out, int pid, i64 tid, const char* what,
-              std::string_view name) {
-  Append os{out};
-  os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
-     << ",\"name\":\"" << what << "\",\"args\":{\"name\":\"" << name
-     << "\"}}";
-}
+ private:
+  /// Room for any 64-bit integer's digits and sign.
+  static constexpr std::size_t kMaxDigits = 24;
+
+  std::ostream& os_;
+  std::vector<char> buf_;
+  std::size_t used_ = 0;
+};
 
 /// Stable identity of a batch across its whole life: the id of its first
 /// member (joins append, chunking never reorders members).
@@ -83,21 +99,186 @@ i64 batch_id(const serve::Batch& b) { return b.members.front().id; }
 
 }  // namespace
 
-std::string& TraceSink::begin_event() {
-  if (blocks_.empty() ||
-      blocks_.back().capacity() - blocks_.back().size() < kBlockHeadroom) {
-    blocks_.emplace_back().reserve(kBlockBytes);
+/// Renders a sink's records as Chrome trace events, in record order, one
+/// renderer per record kind. Each write() makes its own, so the class rows
+/// it names start from none every time.
+class TraceSink::Renderer {
+ public:
+  Renderer(const TraceSink& sink, std::ostream& os) : sink_(sink), out_(os) {}
+
+  /// The document's opening and, for a sink that saw a serve, the
+  /// process and device rows named at serve begin.
+  void begin() {
+    out_ << "{\"traceEvents\":[\n";
+    if (!sink_.started_) return;
+    metadata(kDevicesPid, 0, "process_name", "devices");
+    metadata(kSchedPid, 0, "process_name", "scheduler");
+    metadata(kClassesPid, 0, "process_name", "classes");
+    metadata(kCountersPid, 0, "process_name", "counters");
+    for (std::size_t i = 0; i < sink_.devices_.size(); ++i) {
+      metadata(kDevicesPid, static_cast<i64>(i), "thread_name",
+               sink_.devices_[i]);
+    }
   }
-  std::string& block = blocks_.back();
-  if (num_events_ > 0) block += ",\n";
-  ++num_events_;
-  return block;
+
+  /// The document's closing; flushes everything to the stream.
+  void end() {
+    out_ << "\n]}\n";
+    out_.flush();
+  }
+
+  void operator()(const Enqueue& r) {
+    class_track(r.priority);
+    event() << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kClassesPid
+            << ",\"tid\":" << r.priority << ",\"ts\":" << r.now
+            << ",\"cat\":\"req\",\"name\":\"enqueue r" << r.id
+            << "\",\"args\":{\"workload\":\"" << sink_.workloads_[r.workload]
+            << "\",\"m\":" << r.m << ",\"deadline\":" << r.deadline << "}}";
+  }
+
+  void operator()(const Join& r) {
+    class_track(r.priority);
+    event() << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kClassesPid
+            << ",\"tid\":" << r.priority << ",\"ts\":" << r.now
+            << ",\"cat\":\"req\",\"name\":\"join r" << r.request_id
+            << "\",\"args\":{\"batch\":" << r.batch << ",\"size\":" << r.size
+            << "}}";
+  }
+
+  void operator()(const Formed& r) {
+    // Formation window as an async span: the open timestamp lies in the
+    // past (first admit), so a synchronous "X" would break per-track ts
+    // monotonicity — "b"/"e" pairs matched by cat+id carry it instead.
+    event() << "{\"ph\":\"b\",\"pid\":" << kSchedPid << ",\"tid\":0,\"ts\":"
+            << r.open_cycle << ",\"cat\":\"form\",\"id\":" << r.batch
+            << ",\"name\":\"form b" << r.batch << "\",\"args\":{\"size\":"
+            << r.size << ",\"m\":" << r.m << ",\"K\":" << r.k
+            << ",\"N\":" << r.n << ",\"class\":" << r.priority << "}}";
+    event() << "{\"ph\":\"e\",\"pid\":" << kSchedPid << ",\"tid\":0,\"ts\":"
+            << r.ready_cycle << ",\"cat\":\"form\",\"id\":" << r.batch
+            << ",\"name\":\"form b" << r.batch << "\"}";
+  }
+
+  void operator()(const Preemption& r) {
+    event() << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kSchedPid
+            << ",\"tid\":0,\"ts\":" << r.now << ",\"cat\":\"sched\","
+            << "\"name\":\"preempt\"}";
+  }
+
+  void operator()(const Dispatch& r) {
+    if (r.closes_gap) {
+      event() << "{\"ph\":\"e\",\"pid\":" << kSchedPid << ",\"tid\":0,\"ts\":"
+              << r.now << ",\"cat\":\"gap\",\"id\":" << r.batch
+              << ",\"name\":\"gap b" << r.batch << "\"}";
+    }
+    event() << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kDevicesPid
+            << ",\"tid\":" << r.device << ",\"ts\":" << r.now
+            << ",\"cat\":\"cache\",\"name\":\"wcache "
+            << (r.weights_resident ? "hit" : "miss") << "\",\"args\":{\"K\":"
+            << r.k << ",\"N\":" << r.n << "}}";
+    event() << "{\"ph\":\"C\",\"pid\":" << kCountersPid << ",\"tid\":0,\"ts\":"
+            << r.now << ",\"name\":\"wcache:"
+            << sink_.devices_[static_cast<std::size_t>(r.device)]
+            << "\",\"args\":{\"bytes\":" << r.cache_bytes << "}}";
+    if (r.contended) {
+      // This dispatch raised its node's demand to >= 2: every in-flight
+      // stream on the node just slowed down. Mark the onset on the
+      // scheduler track so it reads alongside preemptions.
+      event() << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kSchedPid
+              << ",\"tid\":0,\"ts\":" << r.now << ",\"cat\":\"contend\","
+              << "\"name\":\"contend n" << r.node << "\",\"args\":{\"node\":"
+              << r.node << ",\"demand\":" << r.demand
+              << ",\"hop_cycles\":" << r.hop_cycles << "}}";
+    }
+  }
+
+  void operator()(const Retire& r) {
+    Writer& os = event();
+    os << "{\"ph\":\"X\",\"pid\":" << kDevicesPid << ",\"tid\":" << r.device
+       << ",\"ts\":" << r.dispatch_cycle
+       << ",\"dur\":" << r.completion_cycle - r.dispatch_cycle
+       << ",\"cat\":\"exec\",\"name\":\"b" << r.batch << "/c" << r.ordinal
+       << "\",\"args\":{\"batch\":" << r.batch << ",\"chunk\":" << r.ordinal;
+    // Successor-stage batches carry their stage index; stage-0 traffic
+    // omits the key so single-stage traces stay byte-identical to
+    // pre-stage runs.
+    if (r.stage > 0) os << ",\"stage\":" << r.stage;
+    os << ",\"m\":" << r.chunk_m << ",\"size\":" << r.size
+       << ",\"final\":" << (r.final_chunk ? 1 : 0) << "}}";
+    if (r.opens_gap) {
+      event() << "{\"ph\":\"b\",\"pid\":" << kSchedPid << ",\"tid\":0,\"ts\":"
+              << r.completion_cycle << ",\"cat\":\"gap\",\"id\":" << r.batch
+              << ",\"name\":\"gap b" << r.batch << "\",\"args\":{\"m_left\":"
+              << r.m_left << "}}";
+    }
+  }
+
+  void operator()(const Miss& r) {
+    class_track(r.priority);
+    event() << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kClassesPid
+            << ",\"tid\":" << r.priority << ",\"ts\":" << r.completion_cycle
+            << ",\"cat\":\"slo\",\"name\":\"miss r" << r.id
+            << "\",\"args\":{\"over\":" << r.over << "}}";
+  }
+
+  void operator()(const Counters& r) {
+    event() << "{\"ph\":\"C\",\"pid\":" << kCountersPid << ",\"tid\":0,\"ts\":"
+            << r.now << ",\"name\":\"sched\",\"args\":{\"ready\":" << r.ready
+            << ",\"partial\":" << r.partial
+            << ",\"open_groups\":" << r.open_groups << "}}";
+    event() << "{\"ph\":\"C\",\"pid\":" << kCountersPid << ",\"tid\":0,\"ts\":"
+            << r.now << ",\"name\":\"load\",\"args\":{\"busy_devices\":"
+            << r.busy_devices << ",\"index_entries\":" << r.index_entries
+            << ",\"open_requests\":" << r.open_requests << "}}";
+  }
+
+  void operator()(const NodeDram& r) {
+    event() << "{\"ph\":\"C\",\"pid\":" << kCountersPid << ",\"tid\":0,\"ts\":"
+            << r.now << ",\"name\":\"node" << r.node
+            << ":dram\",\"args\":{\"streams\":" << r.streams
+            << ",\"inflight_bytes\":" << r.inflight_bytes << "}}";
+  }
+
+ private:
+  /// Starts the next event object: the separator, unless it is the first.
+  Writer& event() {
+    if (any_events_) out_ << ",\n";
+    any_events_ = true;
+    return out_;
+  }
+
+  /// A metadata event naming a process or thread row; `name` is escaped.
+  void metadata(int pid, i64 tid, const char* what, std::string_view name) {
+    event() << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
+            << ",\"name\":\"" << what << "\",\"args\":{\"name\":\"" << name
+            << "\"}}";
+  }
+
+  /// Names a priority-class row before its first event (event order is
+  /// deterministic, so so is the naming).
+  void class_track(int priority) {
+    if (!named_classes_.insert(priority).second) return;
+    metadata(kClassesPid, priority, "thread_name",
+             "class " + std::to_string(priority));
+  }
+
+  const TraceSink& sink_;
+  Writer out_;
+  bool any_events_ = false;
+  std::set<int> named_classes_;
+};
+
+void TraceSink::record(const Record& r, std::size_t events) {
+  static_assert(sizeof(Record) <= 72, "a record per hook call stays small");
+  if (chunks_.empty() || chunks_.back().size() == kChunkRecords) {
+    chunks_.emplace_back().reserve(kChunkRecords);
+  }
+  chunks_.back().push_back(r);
+  num_events_ += events;
 }
 
-void TraceSink::ensure_class_track(int priority) {
-  if (!named_classes_.insert(priority).second) return;
-  metadata(begin_event(), kClassesPid, priority, "thread_name",
-           "class " + std::to_string(priority));
+void TraceSink::count_class_track(int priority) {
+  if (named_classes_.insert(priority).second) ++num_events_;
 }
 
 void TraceSink::on_serve_begin(const std::vector<std::string>& devices,
@@ -109,61 +290,32 @@ void TraceSink::on_serve_begin(const std::vector<std::string>& devices,
   workloads_.reserve(workloads.size());
   for (const std::string& w : workloads) workloads_.push_back(json_escape(w));
   device_span_cycles_.assign(devices.size(), 0);
-  metadata(begin_event(), kDevicesPid, 0, "process_name", "devices");
-  metadata(begin_event(), kSchedPid, 0, "process_name", "scheduler");
-  metadata(begin_event(), kClassesPid, 0, "process_name", "classes");
-  metadata(begin_event(), kCountersPid, 0, "process_name", "counters");
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    metadata(begin_event(), kDevicesPid, static_cast<i64>(i), "thread_name",
-             devices_[i]);
-  }
+  // Four process rows and one thread row per device (Renderer::begin).
+  num_events_ += 4 + devices.size();
 }
 
 void TraceSink::on_enqueue(const serve::Request& r, i64 now) {
-  ensure_class_track(r.priority);
-  Append os{begin_event()};
-  os << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kClassesPid
-     << ",\"tid\":" << r.priority << ",\"ts\":" << now
-     << ",\"cat\":\"req\",\"name\":\"enqueue r" << r.id
-     << "\",\"args\":{\"workload\":\"" << workloads_[r.workload]
-     << "\",\"m\":" << r.gemm.M << ",\"deadline\":" << r.deadline_cycle
-     << "}}";
+  count_class_track(r.priority);
+  record(Enqueue{now, r.id, r.gemm.M, r.deadline_cycle, r.priority,
+                 r.workload},
+         1);
 }
 
 void TraceSink::on_join(const serve::Batch& b, i64 request_id, i64 now) {
-  ensure_class_track(b.top_priority);
-  Append os{begin_event()};
-  os << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kClassesPid
-     << ",\"tid\":" << b.top_priority << ",\"ts\":" << now
-     << ",\"cat\":\"req\",\"name\":\"join r" << request_id
-     << "\",\"args\":{\"batch\":" << batch_id(b) << ",\"size\":" << b.size()
-     << "}}";
+  count_class_track(b.top_priority);
+  record(Join{now, request_id, batch_id(b), b.size(), b.top_priority}, 1);
 }
 
 void TraceSink::on_batch_formed(const serve::Batch& b, i64 now) {
   (void)now;
-  // Formation window as an async span: the open timestamp lies in the past
-  // (first admit), so a synchronous "X" here would break per-track ts
-  // monotonicity — "b"/"e" pairs matched by cat+id carry it instead.
-  const i64 id = batch_id(b);
-  Append os{begin_event()};
-  os << "{\"ph\":\"b\",\"pid\":" << kSchedPid << ",\"tid\":0,\"ts\":"
-     << b.open_cycle << ",\"cat\":\"form\",\"id\":" << id
-     << ",\"name\":\"form b" << id << "\",\"args\":{\"size\":" << b.size()
-     << ",\"m\":" << b.gemm.M << ",\"K\":" << b.gemm.K
-     << ",\"N\":" << b.gemm.N << ",\"class\":" << b.top_priority << "}}";
-  Append end{begin_event()};
-  end << "{\"ph\":\"e\",\"pid\":" << kSchedPid << ",\"tid\":0,\"ts\":"
-      << b.ready_cycle << ",\"cat\":\"form\",\"id\":" << id
-      << ",\"name\":\"form b" << id << "\"}";
+  record(Formed{b.open_cycle, b.ready_cycle, batch_id(b), b.gemm.M, b.gemm.K,
+                b.gemm.N, b.size(), b.top_priority},
+         2);
 }
 
 void TraceSink::on_preemption(i64 now) {
   ++preemption_events_;
-  Append os{begin_event()};
-  os << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kSchedPid
-     << ",\"tid\":0,\"ts\":" << now << ",\"cat\":\"sched\","
-     << "\"name\":\"preempt\"}";
+  record(Preemption{now}, 1);
 }
 
 void TraceSink::on_dispatch(const DispatchInfo& info) {
@@ -171,100 +323,54 @@ void TraceSink::on_dispatch(const DispatchInfo& info) {
   // A re-dispatch of a partially executed batch closes its preemption-gap
   // span (opened when the previous chunk retired and the remainder went
   // back to the ready queue).
-  if (info.chunk_ordinal > 0 && open_gaps_.erase(id) > 0) {
-    Append os{begin_event()};
-    os << "{\"ph\":\"e\",\"pid\":" << kSchedPid << ",\"tid\":0,\"ts\":"
-       << info.now << ",\"cat\":\"gap\",\"id\":" << id
-       << ",\"name\":\"gap b" << id << "\"}";
-  }
-  Append hit{begin_event()};
-  hit << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kDevicesPid
-      << ",\"tid\":" << info.device << ",\"ts\":" << info.now
-      << ",\"cat\":\"cache\",\"name\":\"wcache "
-      << (info.weights_resident ? "hit" : "miss") << "\",\"args\":{\"K\":"
-      << info.batch->gemm.K << ",\"N\":" << info.batch->gemm.N << "}}";
-  Append occ{begin_event()};
-  occ << "{\"ph\":\"C\",\"pid\":" << kCountersPid << ",\"tid\":0,\"ts\":"
-      << info.now << ",\"name\":\"wcache:"
-      << devices_[static_cast<std::size_t>(info.device)]
-      << "\",\"args\":{\"bytes\":" << info.cache_used_bytes << "}}";
-  if (info.contended) {
-    // This dispatch raised its node's demand to >= 2: every in-flight
-    // stream on the node just slowed down. Mark the onset on the scheduler
-    // track so it reads alongside preemptions.
-    Append con{begin_event()};
-    con << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kSchedPid
-        << ",\"tid\":0,\"ts\":" << info.now << ",\"cat\":\"contend\","
-        << "\"name\":\"contend n" << info.node << "\",\"args\":{\"node\":"
-        << info.node << ",\"demand\":" << info.node_demand
-        << ",\"hop_cycles\":" << info.hop_cycles << "}}";
-  }
+  const bool closes_gap = info.chunk_ordinal > 0 && open_gaps_.erase(id) > 0;
+  record(Dispatch{info.now, id, info.batch->gemm.K, info.batch->gemm.N,
+                  info.cache_used_bytes, info.hop_cycles, info.device,
+                  info.node, static_cast<int>(info.node_demand), closes_gap,
+                  info.weights_resident, info.contended},
+         2 + (closes_gap ? 1 : 0) + (info.contended ? 1 : 0));
 }
 
 void TraceSink::on_chunk_retire(const RetireInfo& info) {
-  const i64 id = batch_id(*info.batch);
-  const i64 dur = info.completion_cycle - info.dispatch_cycle;
-  device_span_cycles_[static_cast<std::size_t>(info.device)] += dur;
+  const serve::Batch& b = *info.batch;
+  const i64 id = batch_id(b);
+  device_span_cycles_[static_cast<std::size_t>(info.device)] +=
+      info.completion_cycle - info.dispatch_cycle;
+  const bool opens_gap = !info.final_chunk && open_gaps_.insert(id).second;
   // chunks_run was incremented at this chunk's dispatch and the batch
   // cannot dispatch again before retiring, so this chunk's ordinal is
   // chunks_run - 1.
-  const int ordinal = info.batch->chunks_run - 1;
-  Append os{begin_event()};
-  os << "{\"ph\":\"X\",\"pid\":" << kDevicesPid << ",\"tid\":"
-     << info.device << ",\"ts\":" << info.dispatch_cycle << ",\"dur\":"
-     << dur << ",\"cat\":\"exec\",\"name\":\"b" << id << "/c" << ordinal
-     << "\",\"args\":{\"batch\":" << id << ",\"chunk\":" << ordinal;
-  // Successor-stage batches carry their stage index; stage-0 traffic omits
-  // the key so single-stage traces stay byte-identical to pre-stage runs.
-  if (!info.batch->members.empty() && info.batch->members.front().stage > 0) {
-    os << ",\"stage\":" << info.batch->members.front().stage;
-  }
-  os << ",\"m\":" << info.chunk_m << ",\"size\":" << info.batch->size()
-     << ",\"final\":" << (info.final_chunk ? 1 : 0) << "}}";
-  if (!info.final_chunk && open_gaps_.insert(id).second) {
-    Append gap{begin_event()};
-    gap << "{\"ph\":\"b\",\"pid\":" << kSchedPid << ",\"tid\":0,\"ts\":"
-        << info.completion_cycle << ",\"cat\":\"gap\",\"id\":" << id
-        << ",\"name\":\"gap b" << id << "\",\"args\":{\"m_left\":"
-        << info.batch->remaining_m() - info.chunk_m << "}}";
-  }
+  record(Retire{info.dispatch_cycle, info.completion_cycle, id, info.chunk_m,
+                b.remaining_m() - info.chunk_m, info.device,
+                b.chunks_run - 1, b.size(), b.members.front().stage,
+                info.final_chunk, opens_gap},
+         opens_gap ? 2 : 1);
 }
 
 void TraceSink::on_request_done(const serve::RequestRecord& rec) {
   if (rec.met_deadline()) return;
-  ensure_class_track(rec.priority);
-  Append os{begin_event()};
-  os << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kClassesPid
-     << ",\"tid\":" << rec.priority << ",\"ts\":" << rec.completion_cycle
-     << ",\"cat\":\"slo\",\"name\":\"miss r" << rec.id
-     << "\",\"args\":{\"over\":" << rec.miss_cycles() << "}}";
+  count_class_track(rec.priority);
+  record(Miss{rec.completion_cycle, rec.id, rec.miss_cycles(), rec.priority},
+         1);
 }
 
 void TraceSink::on_loop_counters(const LoopCounters& c) {
-  Append sched{begin_event()};
-  sched << "{\"ph\":\"C\",\"pid\":" << kCountersPid << ",\"tid\":0,\"ts\":"
-        << c.now << ",\"name\":\"sched\",\"args\":{\"ready\":"
-        << c.ready_batches << ",\"partial\":" << c.partial_batches
-        << ",\"open_groups\":" << c.open_groups << "}}";
-  Append load{begin_event()};
-  load << "{\"ph\":\"C\",\"pid\":" << kCountersPid << ",\"tid\":0,\"ts\":"
-       << c.now << ",\"name\":\"load\",\"args\":{\"busy_devices\":"
-       << c.busy_devices << ",\"index_entries\":" << c.index_entries
-       << ",\"open_requests\":" << c.open_requests << "}}";
+  record(Counters{c.now, c.ready_batches, c.partial_batches, c.open_groups,
+                  c.busy_devices, c.index_entries, c.open_requests},
+         2);
 }
 
 void TraceSink::on_node_sample(const NodeSample& s) {
-  Append os{begin_event()};
-  os << "{\"ph\":\"C\",\"pid\":" << kCountersPid << ",\"tid\":0,\"ts\":"
-     << s.now << ",\"name\":\"node" << s.node
-     << ":dram\",\"args\":{\"streams\":" << s.active_streams
-     << ",\"inflight_bytes\":" << s.inflight_bytes << "}}";
+  record(NodeDram{s.now, s.active_streams, s.inflight_bytes, s.node}, 1);
 }
 
 void TraceSink::write(std::ostream& os) const {
-  os << "{\"traceEvents\":[\n";
-  for (const std::string& block : blocks_) os << block;
-  os << "\n]}\n";
+  Renderer render(*this, os);
+  render.begin();
+  for (const std::vector<Record>& chunk : chunks_) {
+    for (const Record& r : chunk) std::visit(render, r);
+  }
+  render.end();
 }
 
 std::string TraceSink::to_json() const {

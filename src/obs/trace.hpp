@@ -28,29 +28,36 @@
 //                      onsets are visible next to preemptions.
 //
 // Every emitted value is an integer from the simulated timeline and every
-// event is emitted from the serve loop in event order, so the rendered
+// event is recorded from the serve loop in event order, so the rendered
 // JSON is a pure function of the config and the trace — serve_trace_test
 // reconciles it with the report it was recorded alongside, and CI
 // validates per-track timestamp monotonicity of the "X"/"C" events (async
 // "b"/"e" pairs are emitted at close time with their open timestamp, so
-// they are exempt by design).
+// they are exempt by design) and that every async pair opens and closes
+// exactly once.
 //
-// Each event is rendered straight into the sink's buffer — literal text as
-// is, integers through std::to_chars — with labels escaped once, at serve
-// begin. The buffer is a list of fixed-size blocks: a new block starts
-// when the current one runs low on headroom, so a growing trace is never
-// re-copied, and write() streams the blocks out one after another.
-// serve_trace_test pins the rendered bytes.
+// The sink renders nothing while the serve runs. Each hook call that
+// emits events appends one fixed-size record (72 B) holding the integers
+// those events render from — copied, never a pointer into the serve's
+// state — to a list of fixed-size chunks, so a growing trace is never
+// re-copied. Whatever depends on the sink's state at hook time (does a
+// dispatch close a preemption gap, does a retire open one) is decided
+// then and kept in the record. write() renders the records in order
+// through a bounded buffer that it flushes to the stream, so the rendered
+// JSON never sits in memory whole: on serve_scale a record renders to 1.5
+// events of about 116 B each, 176 B held as 72. Labels are escaped once,
+// at serve begin. serve_trace_test pins the rendered bytes.
 //
 // The sink also keeps reconciliation totals (per-device span cycles,
-// preemption-instant count) so tests can assert trace-vs-report agreement
-// without parsing JSON.
+// preemption-instant count), counted as records are written, so tests can
+// assert trace-vs-report agreement without parsing JSON.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <ostream>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/types.hpp"
@@ -93,13 +100,62 @@ class TraceSink : public PoolProbe {
   [[nodiscard]] std::size_t num_events() const { return num_events_; }
 
  private:
-  /// Starts the next event object: opens a block when the current one is
-  /// low on headroom, writes the separator, counts the event, and returns
-  /// the block to render the event into.
-  std::string& begin_event();
-  /// First use of a priority-class row names it lazily (classes are not
-  /// known up front; event order is deterministic, so so is the naming).
-  void ensure_class_track(int priority);
+  // One record per hook call: the values its events render from. A class
+  // row is named before its first enqueue, join or miss instant.
+  struct Enqueue {  ///< "enqueue" instant
+    i64 now, id, m, deadline;
+    int priority;
+    serve::WorkloadId workload;
+  };
+  struct Join {  ///< "join" instant
+    i64 now, request_id, batch;
+    int size, priority;
+  };
+  struct Formed {  ///< "form" async pair
+    i64 open_cycle, ready_cycle, batch, m, k, n;
+    int size, priority;
+  };
+  struct Preemption {  ///< "preempt" instant
+    i64 now;
+  };
+  /// ["gap" close,] weight-cache instant and counter[, "contend" instant].
+  struct Dispatch {
+    i64 now, batch, k, n, cache_bytes, hop_cycles;
+    int device, node;
+    /// Streams on the node, at most one per device, so it fits an int.
+    int demand;
+    bool closes_gap, weights_resident, contended;
+  };
+  /// The chunk's "X" span[, "gap" open].
+  struct Retire {
+    i64 dispatch_cycle, completion_cycle, batch, chunk_m, m_left;
+    int device, ordinal, size;
+    std::uint16_t stage;
+    bool final_chunk, opens_gap;
+  };
+  struct Miss {  ///< SLO-miss instant
+    i64 completion_cycle, id, over;
+    int priority;
+  };
+  struct Counters {  ///< "sched" and "load" counters
+    i64 now, ready, partial, open_groups, busy_devices, index_entries,
+        open_requests;
+  };
+  struct NodeDram {  ///< "node<i>:dram" counter
+    i64 now, streams, inflight_bytes;
+    int node;
+  };
+  using Record = std::variant<Enqueue, Join, Formed, Preemption, Dispatch,
+                              Retire, Miss, Counters, NodeDram>;
+  /// Renders records as events (defined in trace.cpp).
+  class Renderer;
+
+  /// Appends a record of `events` events to the last chunk, opening a
+  /// chunk when it is full.
+  void record(const Record& r, std::size_t events);
+  /// Counts the metadata event naming a priority-class row the first time
+  /// the class appears (classes are not known up front).
+  void count_class_track(int priority);
 
   bool started_ = false;
   /// Device id -> pre-escaped name, for thread rows and cache counters.
@@ -112,8 +168,8 @@ class TraceSink : public PoolProbe {
   /// first request id (its stable identity).
   std::set<i64> open_gaps_;
 
-  /// Comma-joined event objects, in fixed-size blocks (see trace.cpp).
-  std::vector<std::string> blocks_;
+  /// Records in event order, in chunks of a fixed capacity (see trace.cpp).
+  std::vector<std::vector<Record>> chunks_;
   std::size_t num_events_ = 0;
   std::vector<i64> device_span_cycles_;
   i64 preemption_events_ = 0;
