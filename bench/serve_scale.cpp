@@ -20,15 +20,17 @@
 //                                (exit 1) when us/request at the largest
 //                                point is more than 2x the smallest
 //                                point's — the near-linear gate
-//   --requests N                 override the full-mode sweep top size
-//                                (e.g. 10000000 for a ten-million-request
+//   --requests N                 override the full-mode sweep top size, a
+//                                whole number from 8 to 2^31 - 1 (e.g.
+//                                10000000 for a ten-million-request
 //                                sweep); smoke sweeps N/8..N/2
 //   --max-rss-mb N               fail (exit 1) if the process peak RSS
-//                                exceeds N MB after the sweep or the
-//                                traced run — CI's memory-ceiling gate for
-//                                the streaming request pipeline
-//                                (getrusage, so it works on runners
-//                                without /usr/bin/time)
+//                                exceeds N MB, a number greater than 0,
+//                                after the sweep or the traced run —
+//                                CI's memory-ceiling gate for the
+//                                streaming request pipeline (getrusage,
+//                                so it works on runners without
+//                                /usr/bin/time)
 //   --trace PATH                 instead of the study, run a small (3k
 //                                request) variant of the scenario with a
 //                                Chrome-trace TraceSink attached and the
@@ -39,12 +41,17 @@
 //   --metrics-json PATH          with or without --trace: same small run,
 //                                dumps the obs/metrics registry snapshot
 //
+// A malformed, non-positive or out-of-range flag value exits 2 with the
+// usage line, as does an unknown flag.
+//
 // CI's gated simulated-cycle metrics for this scenario come from
 // bench_serve_throughput --smoke --json (same canonical trace, same
 // numbers); this binary is the wall-clock study.
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -137,14 +144,14 @@ int check_near_linear(const std::vector<double>& us_per_req,
 
 /// Observability mode: a small (3k request) variant of the scale scenario
 /// with the trace sink and metrics registry attached and the serve-loop
-/// self-profiler on. While the serve runs the sink keeps one 72 B record
-/// per probe hook call; write_file() renders the JSON from them through a
-/// 64 KiB buffer. Small because the rendered trace is ~one JSON object per
-/// event — at 3k requests the timeline is a few MB and loads instantly in
-/// the viewers; the full 200k study is about 150 MB of JSON, more than
-/// they load comfortably. Same config and trace as serve_trace_test's 3k
-/// run, so the artifact CI uploads is the exact timeline
-/// ServeTraceTest.TraceBytesArePinned pins by size and FNV-1a-64.
+/// self-profiler on. While the serve runs the sink packs each probe hook
+/// call into a record of about 11 B; write_file() renders the JSON from
+/// them through a 64 KiB buffer. Small because the rendered trace is ~one
+/// JSON object per event — at 3k requests the timeline is a few MB and
+/// loads instantly in the viewers; the full 200k study is about 150 MB of
+/// JSON, more than they load comfortably. Same config and trace as
+/// serve_trace_test's 3k run, so the artifact CI uploads is the exact
+/// timeline ServeTraceTest.TraceBytesArePinned pins by size and FNV-1a-64.
 int run_traced(const std::string& trace_path,
                const std::string& metrics_path) {
   constexpr int kTracedRequests = 3000;
@@ -182,8 +189,39 @@ int run_traced(const std::string& trace_path,
   return 0;
 }
 
+/// Parses all of `text` as a whole number in [lo, hi].
+bool parse_int(const char* text, long long lo, long long hi, long long* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// Parses all of `text` as a finite number greater than 0.
+bool parse_positive(const char* text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v <= 0.0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+int usage() {
+  std::cerr << "usage: bench_serve_scale [--smoke] [--requests N] "
+               "[--max-rss-mb N] [--trace PATH] [--metrics-json PATH]\n";
+  return 2;
+}
+
 /// Enforces the committed memory ceiling after the sweep or the traced
-/// run; 0 disables.
+/// run; 0 (no --max-rss-mb) disables.
 int check_rss_ceiling(double max_rss_mb) {
   if (max_rss_mb <= 0.0) return 0;
   const double rss = peak_rss_mb();
@@ -210,21 +248,27 @@ int main(int argc, char** argv) {
     if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--requests" && i + 1 < argc) {
-      full = std::atoi(argv[++i]);
-      if (full < 8) {
-        std::cerr << "--requests needs a sensible size\n";
-        return 2;
+      long long requests = 0;
+      if (!parse_int(argv[++i], 8, std::numeric_limits<int>::max(),
+                     &requests)) {
+        std::cerr << "--requests needs a whole number from 8 to "
+                  << std::numeric_limits<int>::max() << ", not '" << argv[i]
+                  << "'\n";
+        return usage();
       }
+      full = static_cast<int>(requests);
     } else if (arg == "--max-rss-mb" && i + 1 < argc) {
-      max_rss_mb = std::atof(argv[++i]);
+      if (!parse_positive(argv[++i], &max_rss_mb)) {
+        std::cerr << "--max-rss-mb needs a number of MB greater than 0, not '"
+                  << argv[i] << "'\n";
+        return usage();
+      }
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (arg == "--metrics-json" && i + 1 < argc) {
       metrics_path = argv[++i];
     } else {
-      std::cerr << "usage: bench_serve_scale [--smoke] [--requests N] "
-                   "[--max-rss-mb N] [--trace PATH] [--metrics-json PATH]\n";
-      return 2;
+      return usage();
     }
   }
   if (!trace_path.empty() || !metrics_path.empty()) {

@@ -20,11 +20,16 @@ constexpr int kSchedPid = 1;
 constexpr int kClassesPid = 2;
 constexpr int kCountersPid = 3;
 
-// Records are appended into chunks of kChunkRecords (about 1.2 MB). A new
-// chunk starts when the last one is full, so no record ever moves: a
-// single growing vector would hold its old and new arrays at once each
-// time it doubled.
-constexpr std::size_t kChunkRecords = std::size_t{1} << 14;
+// Records are packed into chunks of kChunkBytes. A new chunk starts when
+// the last one has less than kRecordSlotBytes left, so a record never
+// spans two chunks and no record ever moves: a single growing vector
+// would hold its old and new arrays at once each time it doubled.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+// Room reserved for one record before it is packed, so packing checks no
+// capacity; record() asserts at compile time that its kind fits.
+constexpr std::size_t kRecordSlotBytes = 128;
+// The longest LEB128 varint of 64 bits.
+constexpr std::size_t kMaxVarintBytes = 10;
 // write() renders into a buffer of kWriteBytes and hands it to the stream
 // whenever the next piece would not fit.
 constexpr std::size_t kWriteBytes = std::size_t{1} << 16;
@@ -97,6 +102,268 @@ class Writer {
 /// member (joins append, chunking never reorders members).
 i64 batch_id(const serve::Batch& b) { return b.members.front().id; }
 
+/// An integer's two's-complement bits; differences of these wrap instead
+/// of overflowing.
+template <typename Int>
+std::uint64_t bits(Int v) {
+  return static_cast<std::uint64_t>(static_cast<i64>(v));
+}
+
+/// A packed record's first byte: which of the record kinds below follows.
+enum class Kind : std::uint8_t {
+  kEnqueue,
+  kJoin,
+  kFormed,
+  kPreemption,
+  kDispatch,
+  kRetire,
+  kMiss,
+  kCounters,
+  kNodeDram,
+};
+
+/// Packs a record's fields behind its kind byte, into room the caller
+/// reserved: each field a zigzag LEB128 varint of its difference from a
+/// base (see trace.hpp). time() must come first: it packs the record's
+/// timestamp against the previous record's and becomes the base of rel().
+class Packer {
+ public:
+  Packer(std::uint8_t* out, std::uint64_t& last_time)
+      : out_(out), last_time_(last_time) {}
+
+  Packer& time(i64 t) {
+    put(bits(t) - last_time_);
+    last_time_ = bits(t);
+    return *this;
+  }
+  Packer& rel(i64 cycle) {
+    put(bits(cycle) - last_time_);
+    return *this;
+  }
+  template <typename Int>
+  Packer& val(Int v) {
+    put(bits(v));
+    return *this;
+  }
+
+  /// One past the last byte packed.
+  [[nodiscard]] std::uint8_t* end() const { return out_; }
+
+ private:
+  void put(std::uint64_t d) {
+    // Zigzag: a difference of small magnitude, either sign, has few bits.
+    std::uint64_t z = (d << 1) ^ (0 - (d >> 63));
+    while (z >= 0x80) {
+      *out_++ = static_cast<std::uint8_t>(z | 0x80);
+      z >>= 7;
+    }
+    *out_++ = static_cast<std::uint8_t>(z);
+  }
+
+  std::uint8_t* out_;
+  std::uint64_t& last_time_;
+};
+
+/// Unpacks records in the order they were packed: the inverse of Packer,
+/// carrying the previous record's timestamp from one record (and chunk) to
+/// the next.
+class Unpacker {
+ public:
+  /// Reads on from `in`, the start of the next record.
+  void seek(const std::uint8_t* in) { in_ = in; }
+  [[nodiscard]] const std::uint8_t* at() const { return in_; }
+  Kind kind() { return static_cast<Kind>(*in_++); }
+
+  /// The next record, of kind R, whose kind byte was read.
+  template <class R>
+  R read() {
+    R r{};
+    r.fields(*this);
+    return r;
+  }
+
+  Unpacker& time(i64& t) {
+    last_time_ += get();
+    t = static_cast<i64>(last_time_);
+    return *this;
+  }
+  Unpacker& rel(i64& cycle) {
+    cycle = static_cast<i64>(last_time_ + get());
+    return *this;
+  }
+  template <typename Int>
+  Unpacker& val(Int& v) {
+    v = static_cast<Int>(static_cast<i64>(get()));
+    return *this;
+  }
+
+ private:
+  std::uint64_t get() {
+    // Most fields fit one byte and nearly all three; a branch per byte
+    // position predicts better than one loop's exit.
+    std::uint64_t z = in_[0];
+    if (z < 0x80) {
+      in_ += 1;
+    } else {
+      const std::uint64_t b1 = in_[1];
+      z = (z & 0x7f) | (b1 & 0x7f) << 7;
+      if (b1 < 0x80) {
+        in_ += 2;
+      } else {
+        const std::uint64_t b2 = in_[2];
+        z |= (b2 & 0x7f) << 14;
+        in_ += 3;
+        if (b2 >= 0x80) {
+          for (unsigned shift = 21;; shift += 7) {
+            const std::uint64_t b = *in_++;
+            z |= (b & 0x7f) << shift;
+            if (b < 0x80) break;
+          }
+        }
+      }
+    }
+    return (z >> 1) ^ (0 - (z & 1));
+  }
+
+  const std::uint8_t* in_ = nullptr;
+  std::uint64_t last_time_ = 0;
+};
+
+/// Counts a record kind's fields, to bound its packed size.
+struct FieldCount {
+  std::size_t n = 0;
+  template <typename Int>
+  constexpr FieldCount& time(const Int&) {
+    ++n;
+    return *this;
+  }
+  template <typename Int>
+  constexpr FieldCount& rel(const Int&) {
+    ++n;
+    return *this;
+  }
+  template <typename Int>
+  constexpr FieldCount& val(const Int&) {
+    ++n;
+    return *this;
+  }
+};
+
+/// The most bytes a record of kind R packs into.
+template <class R>
+constexpr std::size_t max_packed_bytes() {
+  R r{};
+  FieldCount count;
+  r.fields(count);
+  return 1 + kMaxVarintBytes * count.n;
+}
+
+// The record kinds: one record per hook call, holding the values its
+// events render from. A class row is named before its first enqueue, join
+// or miss instant. fields() lists every field once, for Packer,
+// Unpacker and FieldCount alike: the record's timestamp through time(),
+// its other cycles through rel(), everything else through val().
+
+struct Enqueue {  ///< "enqueue" instant
+  static constexpr Kind kKind = Kind::kEnqueue;
+  i64 now, id, m, deadline;
+  int priority;
+  serve::WorkloadId workload;
+  template <class F>
+  constexpr void fields(F& f) {
+    f.time(now).val(id).val(m).rel(deadline).val(priority).val(workload);
+  }
+};
+
+struct Join {  ///< "join" instant
+  static constexpr Kind kKind = Kind::kJoin;
+  i64 now, request_id, batch;
+  int size, priority;
+  template <class F>
+  constexpr void fields(F& f) {
+    f.time(now).val(request_id).val(batch).val(size).val(priority);
+  }
+};
+
+struct Formed {  ///< "form" async pair
+  static constexpr Kind kKind = Kind::kFormed;
+  i64 open_cycle, ready_cycle, batch, m, k, n;
+  int size, priority;
+  template <class F>
+  constexpr void fields(F& f) {
+    f.time(ready_cycle).rel(open_cycle).val(batch).val(m).val(k).val(n);
+    f.val(size).val(priority);
+  }
+};
+
+struct Preemption {  ///< "preempt" instant
+  static constexpr Kind kKind = Kind::kPreemption;
+  i64 now;
+  template <class F>
+  constexpr void fields(F& f) { f.time(now); }
+};
+
+/// ["gap" close,] weight-cache instant and counter[, "contend" instant].
+struct Dispatch {
+  static constexpr Kind kKind = Kind::kDispatch;
+  i64 now, batch, k, n, cache_bytes, hop_cycles;
+  int device, node;
+  i64 demand;
+  bool closes_gap, weights_resident, contended;
+  template <class F>
+  constexpr void fields(F& f) {
+    f.time(now).val(batch).val(k).val(n).val(cache_bytes).val(hop_cycles);
+    f.val(device).val(node).val(demand);
+    f.val(closes_gap).val(weights_resident).val(contended);
+  }
+};
+
+/// The chunk's "X" span[, "gap" open].
+struct Retire {
+  static constexpr Kind kKind = Kind::kRetire;
+  i64 dispatch_cycle, completion_cycle, batch, chunk_m, m_left;
+  int device, ordinal, size;
+  std::uint16_t stage;
+  bool final_chunk, opens_gap;
+  template <class F>
+  constexpr void fields(F& f) {
+    f.time(completion_cycle).rel(dispatch_cycle).val(batch).val(chunk_m);
+    f.val(m_left).val(device).val(ordinal).val(size).val(stage);
+    f.val(final_chunk).val(opens_gap);
+  }
+};
+
+struct Miss {  ///< SLO-miss instant
+  static constexpr Kind kKind = Kind::kMiss;
+  i64 completion_cycle, id, over;
+  int priority;
+  template <class F>
+  constexpr void fields(F& f) {
+    f.time(completion_cycle).val(id).val(over).val(priority);
+  }
+};
+
+struct Counters {  ///< "sched" and "load" counters
+  static constexpr Kind kKind = Kind::kCounters;
+  i64 now, ready, partial, open_groups, busy_devices, index_entries,
+      open_requests;
+  template <class F>
+  constexpr void fields(F& f) {
+    f.time(now).val(ready).val(partial).val(open_groups);
+    f.val(busy_devices).val(index_entries).val(open_requests);
+  }
+};
+
+struct NodeDram {  ///< "node<i>:dram" counter
+  static constexpr Kind kKind = Kind::kNodeDram;
+  i64 now, streams, inflight_bytes;
+  int node;
+  template <class F>
+  constexpr void fields(F& f) {
+    f.time(now).val(streams).val(inflight_bytes).val(node);
+  }
+};
+
 }  // namespace
 
 /// Renders a sink's records as Chrome trace events, in record order, one
@@ -125,6 +392,30 @@ class TraceSink::Renderer {
   void end() {
     out_ << "\n]}\n";
     out_.flush();
+  }
+
+  /// Unpacks the record at `in` and renders its events.
+  void next(Unpacker& in) {
+    switch (in.kind()) {
+      case Kind::kEnqueue:
+        return (*this)(in.read<Enqueue>());
+      case Kind::kJoin:
+        return (*this)(in.read<Join>());
+      case Kind::kFormed:
+        return (*this)(in.read<Formed>());
+      case Kind::kPreemption:
+        return (*this)(in.read<Preemption>());
+      case Kind::kDispatch:
+        return (*this)(in.read<Dispatch>());
+      case Kind::kRetire:
+        return (*this)(in.read<Retire>());
+      case Kind::kMiss:
+        return (*this)(in.read<Miss>());
+      case Kind::kCounters:
+        return (*this)(in.read<Counters>());
+      case Kind::kNodeDram:
+        return (*this)(in.read<NodeDram>());
+    }
   }
 
   void operator()(const Enqueue& r) {
@@ -268,13 +559,28 @@ class TraceSink::Renderer {
   std::set<int> named_classes_;
 };
 
-void TraceSink::record(const Record& r, std::size_t events) {
-  static_assert(sizeof(Record) <= 72, "a record per hook call stays small");
-  if (chunks_.empty() || chunks_.back().size() == kChunkRecords) {
-    chunks_.emplace_back().reserve(kChunkRecords);
+template <class R>
+void TraceSink::record(R r, std::size_t events) {
+  static_assert(max_packed_bytes<R>() <= kRecordSlotBytes,
+                "a record fits the room reserved for it");
+  if (chunks_.empty() || kChunkBytes - chunks_.back().used < kRecordSlotBytes) {
+    // Allocated, not zeroed: pages no record reaches stay untouched.
+    chunks_.push_back({std::unique_ptr<std::uint8_t[]>(
+        new std::uint8_t[kChunkBytes])});
   }
-  chunks_.back().push_back(r);
+  Chunk& chunk = chunks_.back();
+  std::uint8_t* const at = chunk.bytes.get() + chunk.used;
+  *at = static_cast<std::uint8_t>(R::kKind);
+  Packer out(at + 1, last_time_);
+  r.fields(out);
+  chunk.used = static_cast<std::size_t>(out.end() - chunk.bytes.get());
   num_events_ += events;
+}
+
+std::size_t TraceSink::record_bytes() const {
+  std::size_t bytes = 0;
+  for (const Chunk& chunk : chunks_) bytes += chunk.used;
+  return bytes;
 }
 
 void TraceSink::count_class_track(int priority) {
@@ -326,7 +632,7 @@ void TraceSink::on_dispatch(const DispatchInfo& info) {
   const bool closes_gap = info.chunk_ordinal > 0 && open_gaps_.erase(id) > 0;
   record(Dispatch{info.now, id, info.batch->gemm.K, info.batch->gemm.N,
                   info.cache_used_bytes, info.hop_cycles, info.device,
-                  info.node, static_cast<int>(info.node_demand), closes_gap,
+                  info.node, info.node_demand, closes_gap,
                   info.weights_resident, info.contended},
          2 + (closes_gap ? 1 : 0) + (info.contended ? 1 : 0));
 }
@@ -367,8 +673,10 @@ void TraceSink::on_node_sample(const NodeSample& s) {
 void TraceSink::write(std::ostream& os) const {
   Renderer render(*this, os);
   render.begin();
-  for (const std::vector<Record>& chunk : chunks_) {
-    for (const Record& r : chunk) std::visit(render, r);
+  Unpacker in;
+  for (const Chunk& chunk : chunks_) {
+    const std::uint8_t* const end = chunk.bytes.get() + chunk.used;
+    for (in.seek(chunk.bytes.get()); in.at() != end;) render.next(in);
   }
   render.end();
 }

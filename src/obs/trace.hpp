@@ -37,16 +37,24 @@
 // exactly once.
 //
 // The sink renders nothing while the serve runs. Each hook call that
-// emits events appends one fixed-size record (72 B) holding the integers
-// those events render from — copied, never a pointer into the serve's
-// state — to a list of fixed-size chunks, so a growing trace is never
-// re-copied. Whatever depends on the sink's state at hook time (does a
-// dispatch close a preemption gap, does a retire open one) is decided
-// then and kept in the record. write() renders the records in order
-// through a bounded buffer that it flushes to the stream, so the rendered
-// JSON never sits in memory whole: on serve_scale a record renders to 1.5
-// events of about 116 B each, 176 B held as 72. Labels are escaped once,
-// at serve begin. serve_trace_test pins the rendered bytes.
+// emits events packs one record of the integers those events render from
+// — copied, never a pointer into the serve's state — into the last of a
+// list of 1 MiB byte chunks, each allocated once and never re-copied; a
+// record never spans two chunks. A record is one kind-tag byte, then each
+// of its fields as a zigzag LEB128 varint: its timestamp as the
+// difference from the previous record's, its other cycles (a deadline, a
+// formation open, a chunk dispatch) as differences from its own
+// timestamp, every other value as is. Differences are taken modulo 2^64,
+// so any i64 round-trips. Each record kind lists its fields once, in one
+// function that both packs and unpacks them. Whatever depends on the
+// sink's state at hook time (does a dispatch close a preemption gap, does
+// a retire open one) is decided then and kept in the record. write()
+// unpacks the records in order and renders them through a bounded buffer
+// that it flushes to the stream, so the rendered JSON never sits in
+// memory whole: on serve_scale a record packs into 11-12 B and renders
+// to 1.5 events of about 116 B each. Labels are escaped once, at
+// serve begin. serve_trace_test pins the rendered bytes and bounds the
+// packed bytes per record.
 //
 // The sink also keeps reconciliation totals (per-device span cycles,
 // preemption-instant count), counted as records are written, so tests can
@@ -54,10 +62,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <set>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/types.hpp"
@@ -98,61 +106,23 @@ class TraceSink : public PoolProbe {
   /// "preempt" instants emitted — must equal ServeReport::preemptions.
   [[nodiscard]] i64 preemption_events() const { return preemption_events_; }
   [[nodiscard]] std::size_t num_events() const { return num_events_; }
+  /// Bytes the packed records hold (see header comment).
+  [[nodiscard]] std::size_t record_bytes() const;
 
  private:
-  // One record per hook call: the values its events render from. A class
-  // row is named before its first enqueue, join or miss instant.
-  struct Enqueue {  ///< "enqueue" instant
-    i64 now, id, m, deadline;
-    int priority;
-    serve::WorkloadId workload;
-  };
-  struct Join {  ///< "join" instant
-    i64 now, request_id, batch;
-    int size, priority;
-  };
-  struct Formed {  ///< "form" async pair
-    i64 open_cycle, ready_cycle, batch, m, k, n;
-    int size, priority;
-  };
-  struct Preemption {  ///< "preempt" instant
-    i64 now;
-  };
-  /// ["gap" close,] weight-cache instant and counter[, "contend" instant].
-  struct Dispatch {
-    i64 now, batch, k, n, cache_bytes, hop_cycles;
-    int device, node;
-    /// Streams on the node, at most one per device, so it fits an int.
-    int demand;
-    bool closes_gap, weights_resident, contended;
-  };
-  /// The chunk's "X" span[, "gap" open].
-  struct Retire {
-    i64 dispatch_cycle, completion_cycle, batch, chunk_m, m_left;
-    int device, ordinal, size;
-    std::uint16_t stage;
-    bool final_chunk, opens_gap;
-  };
-  struct Miss {  ///< SLO-miss instant
-    i64 completion_cycle, id, over;
-    int priority;
-  };
-  struct Counters {  ///< "sched" and "load" counters
-    i64 now, ready, partial, open_groups, busy_devices, index_entries,
-        open_requests;
-  };
-  struct NodeDram {  ///< "node<i>:dram" counter
-    i64 now, streams, inflight_bytes;
-    int node;
-  };
-  using Record = std::variant<Enqueue, Join, Formed, Preemption, Dispatch,
-                              Retire, Miss, Counters, NodeDram>;
   /// Renders records as events (defined in trace.cpp).
   class Renderer;
+  /// A fixed-capacity run of packed records; `used` bytes are filled.
+  struct Chunk {
+    std::unique_ptr<std::uint8_t[]> bytes;
+    std::size_t used = 0;
+  };
 
-  /// Appends a record of `events` events to the last chunk, opening a
-  /// chunk when it is full.
-  void record(const Record& r, std::size_t events);
+  /// Packs a record of `events` events into the last chunk, opening a
+  /// chunk when the record might not fit (defined in trace.cpp, with the
+  /// record kinds).
+  template <class R>
+  void record(R r, std::size_t events);
   /// Counts the metadata event naming a priority-class row the first time
   /// the class appears (classes are not known up front).
   void count_class_track(int priority);
@@ -168,8 +138,10 @@ class TraceSink : public PoolProbe {
   /// first request id (its stable identity).
   std::set<i64> open_gaps_;
 
-  /// Records in event order, in chunks of a fixed capacity (see trace.cpp).
-  std::vector<std::vector<Record>> chunks_;
+  /// Packed records in event order.
+  std::vector<Chunk> chunks_;
+  /// The last record's timestamp, which the next one's is packed against.
+  std::uint64_t last_time_ = 0;
   std::size_t num_events_ = 0;
   std::vector<i64> device_span_cycles_;
   i64 preemption_events_ = 0;

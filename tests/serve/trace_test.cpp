@@ -8,7 +8,8 @@
 // carry every event kind are pinned by size and FNV-1a-64, num_events()
 // counts the events they hold, rendering again gives the same bytes, and
 // device labels render escaped at any length; (5) write_file reports a
-// failed write.
+// failed write; (6) the packed records stay small, and every hook field
+// survives packing at the extremes of its type.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -16,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <ios>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -38,20 +40,51 @@ struct TracedRun {
   std::vector<i64> span_cycles;
   i64 preemption_events = 0;
   std::size_t num_events = 0;
+  std::size_t record_bytes = 0;
+  std::size_t records = 0;
 };
 
-TracedRun run_traced() {
-  AcceleratorPool pool(serve_scale_pool_config());
+/// Counts the hook calls that pack a TraceSink record: every call that
+/// emits an event, which is all of them but an on-time request's
+/// completion.
+class RecordCounter : public obs::PoolProbe {
+ public:
+  std::size_t records = 0;
+
+  void on_enqueue(const Request&, i64) override { ++records; }
+  void on_join(const Batch&, i64, i64) override { ++records; }
+  void on_batch_formed(const Batch&, i64) override { ++records; }
+  void on_preemption(i64) override { ++records; }
+  void on_dispatch(const obs::DispatchInfo&) override { ++records; }
+  void on_chunk_retire(const obs::RetireInfo&) override { ++records; }
+  void on_request_done(const RequestRecord& rec) override {
+    if (!rec.met_deadline()) ++records;
+  }
+  void on_loop_counters(const obs::LoopCounters&) override { ++records; }
+  void on_node_sample(const obs::NodeSample&) override { ++records; }
+};
+
+/// Serves `source` on `pool` with a sink and a record counter attached.
+TracedRun serve_traced(AcceleratorPool& pool, TraceSource& source) {
   obs::TraceSink sink;
+  RecordCounter counter;
   pool.add_probe(&sink);
+  pool.add_probe(&counter);
   TracedRun out;
-  RequestQueue q = serve_scale_trace(kTestRequests);
-  out.report = pool.serve(q);
+  out.report = pool.serve(source);
   out.json = sink.to_json();
   out.span_cycles = sink.device_span_cycles();
   out.preemption_events = sink.preemption_events();
   out.num_events = sink.num_events();
+  out.record_bytes = sink.record_bytes();
+  out.records = counter.records;
   return out;
+}
+
+TracedRun run_traced() {
+  AcceleratorPool pool(serve_scale_pool_config());
+  RequestQueue q = serve_scale_trace(kTestRequests);
+  return serve_traced(pool, q);
 }
 
 /// FNV-1a, 64-bit: a fingerprint of the rendered bytes.
@@ -63,18 +96,12 @@ std::uint64_t fnv1a64(const std::string& bytes) {
   return h;
 }
 
-/// A registered scenario's trace, with the sink alone attached.
+/// A registered scenario's trace.
 TracedRun run_scenario(const std::string& name) {
   const ScenarioSpec& spec = scenario(name);
   AcceleratorPool pool(spec.config);
-  obs::TraceSink sink;
-  pool.add_probe(&sink);
   const std::unique_ptr<TraceSource> source = spec.make_trace();
-  TracedRun out;
-  out.report = pool.serve(*source);
-  out.json = sink.to_json();
-  out.num_events = sink.num_events();
-  return out;
+  return serve_traced(pool, *source);
 }
 
 /// Events in a rendered trace: every event object, and nothing else,
@@ -167,6 +194,157 @@ TEST(ServeTraceTest, TraceBytesArePinned) {
         << "fnv1a64 0x" << std::hex << fnv1a64(json);
     EXPECT_EQ(p.traced.num_events, count_events(json));
   }
+}
+
+TEST(ServeTraceTest, PackedRecordsStaySmall) {
+  // Each hook call that emits events packs one record of varints (see
+  // trace.hpp); on these runs a record averages 9-11 B. A change that
+  // fattens the records fails here, not only in a benchmark.
+  const std::pair<const char*, TracedRun> runs[] = {
+      {"serve_scale 3k", run_traced()},
+      {"fleet_contention_aware", run_scenario("fleet_contention_aware")},
+      {"disagg_prefill_decode_split",
+       run_scenario("disagg_prefill_decode_split")},
+  };
+  for (const auto& [name, run] : runs) {
+    SCOPED_TRACE(name);
+    ASSERT_GT(run.records, 0u);
+    EXPECT_LE(run.record_bytes, 16 * run.records)
+        << run.record_bytes << " B in " << run.records << " records";
+  }
+}
+
+TEST(ServeTraceTest, ExtremeValuesSurvivePacking) {
+  // Every field a hook hands the sink comes back verbatim at the extremes
+  // of its type: packed differences wrap modulo 2^64 and never overflow.
+  // Each record kind's timestamp lies at least 2^63 - 8 cycles, forwards
+  // or backwards, from the previous record's at least once, and each
+  // relative cycle as far from its own timestamp. What the sink itself
+  // computes (span durations, rows left, cycles over the deadline) stays
+  // in range. Batches hold 2^16 + 1 members, so sizes need 17 bits. A
+  // WorkloadId renders through the table the sink was given, so the
+  // largest one is that table's last, here 2^16 + 1. Device ids index the
+  // two-device table and are checked only as 0 and 1.
+  constexpr i64 kMin = std::numeric_limits<i64>::min();
+  constexpr i64 kMax = std::numeric_limits<i64>::max();
+  constexpr int kIntMin = std::numeric_limits<int>::min();
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr std::size_t kMembers = (std::size_t{1} << 16) + 1;
+  std::vector<std::string> workloads;
+  for (std::size_t i = 0; i < kMembers + 1; ++i) {
+    workloads.push_back("w" + std::to_string(i));
+  }
+  obs::TraceSink sink;
+  sink.on_serve_begin({"d0", "d1"}, workloads);
+
+  Request early;
+  early.id = kMin;
+  early.workload = static_cast<WorkloadId>(kMembers);
+  early.gemm = {kMax, 1, 1};
+  early.deadline_cycle = -1;
+  early.priority = kIntMin;
+  sink.on_enqueue(early, kMax);
+  Request late;  // earlier than the previous record
+  late.id = kMax;
+  late.gemm = {kMin, 1, 1};
+  late.deadline_cycle = kMax;
+  late.priority = kIntMax;
+  sink.on_enqueue(late, 0);
+
+  Batch joined;
+  joined.members.resize(kMembers);
+  joined.members.front().id = kMin;
+  joined.top_priority = kIntMax;
+  sink.on_join(joined, kMax, kMin);
+  Batch formed;
+  formed.members.resize(kMembers);
+  formed.members.front().id = kMax;
+  formed.gemm = {kMin, kMax, kMin};
+  formed.open_cycle = kMin;
+  formed.ready_cycle = 0;
+  formed.top_priority = kIntMin;
+  sink.on_batch_formed(formed, 0);
+  sink.on_preemption(kMax);
+
+  // A chunk of `first` (stage 65535) spans the whole positive range and
+  // leaves kMin rows, opening a gap; a chunk of `last` closes out the
+  // negative end on the other device.
+  Batch first;
+  first.members.resize(kMembers);
+  first.members.front() = {kMax, 0, std::numeric_limits<std::uint16_t>::max()};
+  first.gemm = {-1, kMin, kMax};
+  first.chunks_run = kIntMin + 1;
+  obs::DispatchInfo dispatch;
+  dispatch.device = 0;
+  dispatch.now = 0;
+  dispatch.batch = &first;
+  dispatch.weights_resident = true;
+  dispatch.cache_used_bytes = kMin;
+  dispatch.node = kIntMin;
+  dispatch.node_demand = kMax;
+  dispatch.contended = true;
+  dispatch.hop_cycles = kMax;
+  sink.on_dispatch(dispatch);
+  sink.on_chunk_retire({0, 0, kMax, &first, kMax, false});
+  Batch last;
+  last.members = {{kMin, 0, 0}};
+  last.gemm = {kMax, 1, 1};
+  last.chunks_run = kIntMax;
+  sink.on_chunk_retire({1, kMin, kMin + 7, &last, kMax, true});
+  // The re-dispatch of `first` closes its gap.
+  dispatch.chunk_ordinal = 1;
+  dispatch.weights_resident = false;
+  dispatch.cache_used_bytes = kMax;
+  dispatch.node = kIntMax;
+  dispatch.node_demand = kMin;
+  dispatch.contended = false;
+  dispatch.hop_cycles = kMin;
+  sink.on_dispatch(dispatch);
+
+  RequestRecord missed;
+  missed.id = kMin;
+  missed.completion_cycle = kMax;
+  missed.deadline_cycle = 0;
+  missed.priority = kIntMin;
+  sink.on_request_done(missed);
+  sink.on_loop_counters({0, kMax, kMin, kMax, kMin, kMax, kMin});
+  sink.on_node_sample({kMin, kIntMax, kMin, kMax});
+
+  const std::string expected = R"json({"traceEvents":[
+{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"devices"}},
+{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"scheduler"}},
+{"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"classes"}},
+{"ph":"M","pid":3,"tid":0,"name":"process_name","args":{"name":"counters"}},
+{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"d0"}},
+{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"d1"}},
+{"ph":"M","pid":2,"tid":-2147483648,"name":"thread_name","args":{"name":"class -2147483648"}},
+{"ph":"i","s":"t","pid":2,"tid":-2147483648,"ts":9223372036854775807,"cat":"req","name":"enqueue r-9223372036854775808","args":{"workload":"w65537","m":9223372036854775807,"deadline":-1}},
+{"ph":"M","pid":2,"tid":2147483647,"name":"thread_name","args":{"name":"class 2147483647"}},
+{"ph":"i","s":"t","pid":2,"tid":2147483647,"ts":0,"cat":"req","name":"enqueue r9223372036854775807","args":{"workload":"w0","m":-9223372036854775808,"deadline":9223372036854775807}},
+{"ph":"i","s":"t","pid":2,"tid":2147483647,"ts":-9223372036854775808,"cat":"req","name":"join r9223372036854775807","args":{"batch":-9223372036854775808,"size":65537}},
+{"ph":"b","pid":1,"tid":0,"ts":-9223372036854775808,"cat":"form","id":9223372036854775807,"name":"form b9223372036854775807","args":{"size":65537,"m":-9223372036854775808,"K":9223372036854775807,"N":-9223372036854775808,"class":-2147483648}},
+{"ph":"e","pid":1,"tid":0,"ts":0,"cat":"form","id":9223372036854775807,"name":"form b9223372036854775807"},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":9223372036854775807,"cat":"sched","name":"preempt"},
+{"ph":"i","s":"t","pid":0,"tid":0,"ts":0,"cat":"cache","name":"wcache hit","args":{"K":-9223372036854775808,"N":9223372036854775807}},
+{"ph":"C","pid":3,"tid":0,"ts":0,"name":"wcache:d0","args":{"bytes":-9223372036854775808}},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":0,"cat":"contend","name":"contend n-2147483648","args":{"node":-2147483648,"demand":9223372036854775807,"hop_cycles":9223372036854775807}},
+{"ph":"X","pid":0,"tid":0,"ts":0,"dur":9223372036854775807,"cat":"exec","name":"b9223372036854775807/c-2147483648","args":{"batch":9223372036854775807,"chunk":-2147483648,"stage":65535,"m":9223372036854775807,"size":65537,"final":0}},
+{"ph":"b","pid":1,"tid":0,"ts":9223372036854775807,"cat":"gap","id":9223372036854775807,"name":"gap b9223372036854775807","args":{"m_left":-9223372036854775808}},
+{"ph":"X","pid":0,"tid":1,"ts":-9223372036854775808,"dur":7,"cat":"exec","name":"b-9223372036854775808/c2147483646","args":{"batch":-9223372036854775808,"chunk":2147483646,"m":9223372036854775807,"size":1,"final":1}},
+{"ph":"e","pid":1,"tid":0,"ts":0,"cat":"gap","id":9223372036854775807,"name":"gap b9223372036854775807"},
+{"ph":"i","s":"t","pid":0,"tid":0,"ts":0,"cat":"cache","name":"wcache miss","args":{"K":-9223372036854775808,"N":9223372036854775807}},
+{"ph":"C","pid":3,"tid":0,"ts":0,"name":"wcache:d0","args":{"bytes":9223372036854775807}},
+{"ph":"i","s":"t","pid":2,"tid":-2147483648,"ts":9223372036854775807,"cat":"slo","name":"miss r-9223372036854775808","args":{"over":9223372036854775807}},
+{"ph":"C","pid":3,"tid":0,"ts":0,"name":"sched","args":{"ready":9223372036854775807,"partial":9223372036854775807,"open_groups":-9223372036854775808}},
+{"ph":"C","pid":3,"tid":0,"ts":0,"name":"load","args":{"busy_devices":-9223372036854775808,"index_entries":-9223372036854775808,"open_requests":9223372036854775807}},
+{"ph":"C","pid":3,"tid":0,"ts":-9223372036854775808,"name":"node2147483647:dram","args":{"streams":-9223372036854775808,"inflight_bytes":9223372036854775807}}
+]}
+)json";
+  const std::string json = sink.to_json();
+  EXPECT_EQ(json, expected);
+  EXPECT_EQ(sink.num_events(), count_events(json));
+  EXPECT_EQ(sink.device_span_cycles(), (std::vector<i64>{kMax, 7}));
+  EXPECT_EQ(sink.preemption_events(), 1);
 }
 
 TEST(ServeTraceTest, RenderingAgainGivesTheSameBytes) {
